@@ -2,10 +2,14 @@
 
 Multi-scale sliding-window detection fires clusters of overlapping
 windows around each true pedestrian; greedy IoU-based NMS keeps the
-highest-scoring window per cluster.
+highest-scoring window per cluster.  The greedy loop is vectorized
+over the remaining candidates but keeps :func:`box_iou`'s arithmetic,
+so it keeps exactly the boxes the pairwise loop would.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.detect.types import Detection
 from repro.errors import ParameterError
@@ -38,7 +42,7 @@ def non_maximum_suppression(
     iou_threshold:
         Boxes overlapping a kept box by more than this IoU are removed.
     max_detections:
-        Optional cap on the number of boxes returned.
+        Optional cap on the number of boxes returned (0 returns none).
 
     Returns
     -------
@@ -52,14 +56,26 @@ def non_maximum_suppression(
         raise ParameterError(
             f"max_detections must be >= 0, got {max_detections}"
         )
-    remaining = sorted(detections, key=lambda d: d.score, reverse=True)
+    ordered = sorted(detections, key=lambda d: d.score, reverse=True)
+    cap = len(ordered) if max_detections is None else max_detections
+    # Same greedy loop and the same IoU arithmetic as box_iou, one
+    # kept box against all remaining candidates at a time.
+    top, left, bottom, right, area = np.array(
+        [(d.top, d.left, d.bottom, d.right, d.area) for d in ordered],
+        dtype=np.float64,
+    ).reshape(-1, 5).T
+    remaining = np.arange(len(ordered))
     kept: list[Detection] = []
-    while remaining:
-        best = remaining.pop(0)
-        kept.append(best)
-        if max_detections is not None and len(kept) >= max_detections:
-            break
-        remaining = [
-            d for d in remaining if box_iou(best, d) <= iou_threshold
-        ]
+    while remaining.size and len(kept) < cap:
+        best, remaining = remaining[0], remaining[1:]
+        kept.append(ordered[best])
+        inter_h = (np.minimum(bottom[best], bottom[remaining])
+                   - np.maximum(top[best], top[remaining]))
+        inter_w = (np.minimum(right[best], right[remaining])
+                   - np.maximum(left[best], left[remaining]))
+        # Clamping a non-overlap to zero gives it IoU 0, which every
+        # threshold keeps -- box_iou's early return.
+        inter = np.maximum(inter_h, 0.0) * np.maximum(inter_w, 0.0)
+        iou = inter / (area[best] + area[remaining] - inter)
+        remaining = remaining[iou <= iou_threshold]
     return kept

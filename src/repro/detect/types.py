@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import ParameterError
 
@@ -33,6 +34,12 @@ class Detection:
     label: str = "pedestrian"
 
     def __post_init__(self) -> None:
+        for name in ("top", "left", "height", "width", "score", "scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(
+                    f"detection {name} must be finite, got {value}"
+                )
         if self.height <= 0 or self.width <= 0:
             raise ParameterError(
                 f"detection box must have positive size, got "

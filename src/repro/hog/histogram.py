@@ -16,6 +16,11 @@ banded matmul.  The scatter itself has two bitwise-identical backends
 (see :func:`_scatter_add`): ``numpy.bincount`` on the allocating path,
 ``numpy.add.at`` into a reused arena slab when a
 :class:`~repro.arena.BufferArena` is supplied.
+
+Voting and scattering stream through the frame in horizontal strips of
+whole cell rows (:data:`STRIP_PIXELS`), the software counterpart of the
+paper's line buffers: only one strip's temporaries are live at a time,
+and only the pixel-row accumulator spans the frame.
 """
 
 from __future__ import annotations
@@ -32,11 +37,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
 
 
+#: Pixel budget of one row strip of :func:`cell_histograms`.  A strip's
+#: vote and scatter temporaries (eleven float64/intp frames plus the
+#: scatter slab) then take under 3 MB, small enough to stay
+#: cache-resident.  Frames under the budget run as a single strip.
+STRIP_PIXELS = 32768
+
+
+def _scratch(
+    arena: "BufferArena | None",
+    name: str,
+    shape: tuple[int, ...],
+    dtype: type = np.float64,
+) -> np.ndarray:
+    """Uninitialised scratch: the ``name`` arena slab, or a fresh array."""
+    if arena is None:
+        return np.empty(shape, dtype=dtype)
+    return arena.get(name, shape, dtype)
+
+
 def _orientation_votes(
     magnitude: np.ndarray,
     orientation: np.ndarray,
     params: HogParameters,
-    arena: "BufferArena | None" = None,
+    scratch: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split each pixel's magnitude between its two nearest bins.
 
@@ -47,43 +71,30 @@ def _orientation_votes(
     :func:`repro.imgproc.gradient_polar` contract), which is what lets
     the wrap be a single masked add instead of a full modulo.
 
-    With an ``arena``, the four returned frames and both intermediate
-    frames come from named slabs (``hog.vote_*``): the per-frame
-    full-frame temporaries here are allocation-bound, not
-    compute-bound, and this function runs once per extract.
+    ``scratch`` holds six arrays of the input's shape — ``(coord,
+    floor, lo, hi, w_hi, w_lo)``, float64 except the two intp bin
+    frames — that receive every intermediate and the four results, so
+    the caller decides where they live (a strip of the ``hog.vote_*``
+    arena slabs, or plain allocations).
     """
     n_bins = params.n_bins
     bin_width = params.orientation_span / n_bins
-    shape = magnitude.shape
+    coord, lo_f, lo, bin_hi, w_hi, w_lo = scratch
     # Continuous bin coordinate: bin centers sit at (i + 0.5) * width.
-    # Identical op sequence on both paths (bitwise-equal results); the
-    # arena path merely sources the six full-frame buffers from slabs.
-    if arena is None:
-        coord = orientation * (1.0 / bin_width)
-        lo_f = np.empty_like(coord)
-        lo = np.empty(shape, dtype=np.intp)
-        bin_hi = np.empty(shape, dtype=np.intp)
-        w_hi = np.empty_like(coord)
-        w_lo = np.empty_like(coord)
-    else:
-        coord = arena.get("hog.vote_frac", shape)
-        np.multiply(orientation, 1.0 / bin_width, out=coord)
-        lo_f = arena.get("hog.vote_floor", shape)
-        lo = arena.get("hog.vote_lo", shape, np.intp)
-        bin_hi = arena.get("hog.vote_hi", shape, np.intp)
-        w_hi = arena.get("hog.vote_w_hi", shape)
-        w_lo = arena.get("hog.vote_w_lo", shape)
+    np.multiply(orientation, 1.0 / bin_width, out=coord)
     coord -= 0.5
     np.floor(coord, out=lo_f)
     np.copyto(lo, lo_f, casting="unsafe")
     frac = coord
     frac -= lo_f
     # In-range orientations ([0, span)) give lo in [-1, n_bins - 1], so
-    # a single masked wrap replaces the two full-frame np.mod calls.
+    # a masked add/subtract replaces two np.mod calls.  ``where=``, not
+    # boolean fancy indexing: on flat frames every pixel wraps, and a
+    # fancy-index += would gather and scatter all of them.
     np.add(lo, 1, out=bin_hi)
-    bin_hi[bin_hi == n_bins] = 0
+    np.subtract(bin_hi, n_bins, out=bin_hi, where=bin_hi == n_bins)
     bin_lo = lo
-    bin_lo[bin_lo < 0] += n_bins
+    np.add(bin_lo, n_bins, out=bin_lo, where=bin_lo < 0)
     np.multiply(magnitude, frac, out=w_hi)
     np.subtract(magnitude, w_hi, out=w_lo)
     return bin_lo, w_lo, bin_hi, w_hi
@@ -167,10 +178,11 @@ def cell_histograms(
         the allocating path.
     arena:
         Optional :class:`~repro.arena.BufferArena` supplying the
-        trilinear path's accumulator scratch (``hog.hist_acc``), the
-        banded row-weight matrix (``hog.row_weights``), and the
-        scatter slab (``hog.hist_scatter``) that replaces
-        ``numpy.bincount``'s per-call output allocation.
+        trilinear path's full-height accumulator (``hog.hist_acc``) and
+        banded row-weight matrix (``hog.row_weights``), plus the
+        strip-sized vote frames (``hog.vote_*``) and the scatter slab
+        (``hog.hist_scatter``) that replaces ``numpy.bincount``'s
+        per-call output allocation.
 
     Returns
     -------
@@ -203,64 +215,87 @@ def cell_histograms(
         check_out(out, "cell_histograms", (n_rows, n_cols, n_bins),
                   np.float64, mag, ori)
 
-    bin_lo, w_lo, bin_hi, w_hi = _orientation_votes(mag, ori, params, arena)
+    # Row strips, in order: each pixel row scatters only into its own
+    # rows of the target, so a strip's summation order per target is
+    # the whole frame's and the result is bitwise independent of the
+    # strip height.  Strips are whole cell rows, which keeps that true
+    # for the in-cell path too (its targets are cell rows).  Only one
+    # strip's vote and scatter temporaries are ever live, so the ~40
+    # full-frame passes of a large frame run in cache.
+    strip = cs * max(1, min(n_rows, STRIP_PIXELS // (cs * w)))
+    shape = (strip, w)
+    votes = (
+        _scratch(arena, "hog.vote_frac", shape),
+        _scratch(arena, "hog.vote_floor", shape),
+        _scratch(arena, "hog.vote_lo", shape, np.intp),
+        _scratch(arena, "hog.vote_hi", shape, np.intp),
+        _scratch(arena, "hog.vote_w_hi", shape),
+        _scratch(arena, "hog.vote_w_lo", shape),
+    )
+    scatter_idx = _scratch(arena, "hog.vote_idx", shape, np.intp)
+    scatter_w = _scratch(arena, "hog.vote_w", shape)
 
-    if not params.spatial_interpolation:
+    interpolate = params.spatial_interpolation
+    stride = n_cols * n_bins
+    if interpolate:
+        # Bilinear spatial voting is separable, so split it into two
+        # passes instead of scattering all four (row, col) neighbor
+        # combos: first accumulate column-interpolated votes at full
+        # pixel-row resolution (the only data-dependent scatter, via
+        # the orientation bin), then collapse pixel rows onto cell rows
+        # with one small matmul against the banded row-weight matrix.
+        rows_per_target = 1
+        if arena is None:
+            acc = np.zeros(h * stride, dtype=np.float64)
+            row_weights = np.zeros((n_rows, h), dtype=np.float64)
+        else:
+            acc = arena.zeros("hog.hist_acc", (h * stride,))
+            row_weights = arena.zeros("hog.row_weights", (n_rows, h))
+        target = acc.reshape(h, stride)
+    else:
         # Every pixel votes into its own cell with unit spatial weight
-        # (the hardware-faithful [10] configuration): two scatter
-        # passes, no spatial weighting at all.
-        [(row_idx, _)] = _axis_cell_votes(h, cs, n_rows, False)
-        [(col_idx, _)] = _axis_cell_votes(w, cs, n_cols, False)
-        cell_base = (row_idx[:, None] * n_cols + col_idx[None, :]) * n_bins
+        # (the hardware-faithful [10] configuration): no spatial
+        # weighting at all, scattered straight into the cell grid.
+        rows_per_target = cs
         if out is None:
             out = np.zeros((n_rows, n_cols, n_bins), dtype=np.float64)
         else:
             out.fill(0.0)
-        hist = out.reshape(-1)
-        scatter_idx = (
-            np.empty((h, w), dtype=np.intp) if arena is None
-            else arena.get("hog.vote_idx", (h, w), np.intp)
-        )
-        for bins, w_frame in ((bin_lo, w_lo), (bin_hi, w_hi)):
-            np.add(cell_base, bins, out=scatter_idx)
-            _scatter_add(hist, scatter_idx.ravel(), w_frame.ravel(),
-                         arena)
-        return out
-
-    # Bilinear spatial voting is separable, so split it into two
-    # passes instead of scattering all four (row, col) neighbor combos:
-    # first accumulate column-interpolated votes at full pixel-row
-    # resolution (the only data-dependent scatter, via the orientation
-    # bin), then collapse pixel rows onto cell rows with one small
-    # matmul against the banded row-weight matrix.  Halves the number
-    # of full-frame scatter passes (8 -> 4) and drops the per-combo
-    # H x W outer-product weight frames entirely.
-    if arena is None:
-        acc = np.zeros(h * n_cols * n_bins, dtype=np.float64)
-        row_weights = np.zeros((n_rows, h), dtype=np.float64)
-        base = np.empty((h, w), dtype=np.intp)
-        scatter_idx = np.empty((h, w), dtype=np.intp)
-        scatter_w = np.empty((h, w), dtype=np.float64)
-    else:
-        acc = arena.zeros("hog.hist_acc", (h * n_cols * n_bins,))
-        row_weights = arena.zeros("hog.row_weights", (n_rows, h))
-        base = arena.get("hog.vote_base", (h, w), np.intp)
-        scatter_idx = arena.get("hog.vote_idx", (h, w), np.intp)
-        scatter_w = arena.get("hog.vote_w", (h, w))
-    row_base = (np.arange(h, dtype=np.intp) * (n_cols * n_bins))[:, None]
-    for col_idx, col_w in _axis_cell_votes(w, cs, n_cols, True):
+        target = out.reshape(n_rows, stride)
+    # Strip-local scatter bases, one per column vote; strips start on a
+    # cell row, so every strip shares them.
+    col_votes = _axis_cell_votes(w, cs, n_cols, interpolate)
+    bases = _scratch(arena, "hog.vote_base", (len(col_votes), *shape),
+                     np.intp)
+    row_base = (np.arange(strip, dtype=np.intp) // rows_per_target
+                * stride)[:, None]
+    for base, (col_idx, _) in zip(bases, col_votes):
         np.add(row_base, col_idx * n_bins, out=base)
-        for bins, w_frame in ((bin_lo, w_lo), (bin_hi, w_hi)):
-            np.add(base, bins, out=scatter_idx)
-            np.multiply(w_frame, col_w, out=scatter_w)
-            _scatter_add(acc, scatter_idx.ravel(), scatter_w.ravel(),
-                         arena)
+
+    for r0 in range(0, h, strip):
+        r1 = min(r0 + strip, h)
+        n = r1 - r0
+        bin_lo, w_lo, bin_hi, w_hi = _orientation_votes(
+            mag[r0:r1], ori[r0:r1], params, tuple(v[:n] for v in votes)
+        )
+        dest = target[r0 // rows_per_target:r1 // rows_per_target]
+        dest = dest.reshape(-1)
+        idx = scatter_idx[:n]
+        for base, (_, col_w) in zip(bases, col_votes):
+            for bins, weights in ((bin_lo, w_lo), (bin_hi, w_hi)):
+                np.add(base[:n], bins, out=idx)
+                if col_w is not None:
+                    weights = np.multiply(weights, col_w,
+                                          out=scatter_w[:n])
+                _scatter_add(dest, idx.ravel(), weights.ravel(), arena)
+
+    if not interpolate:
+        return out
     pixel_rows = np.arange(h)
     for row_idx, row_w in _axis_cell_votes(h, cs, n_rows, True):
         row_weights[row_idx, pixel_rows] += row_w
-    acc2d = acc.reshape(h, n_cols * n_bins)
     if out is None:
-        hist = row_weights @ acc2d
+        hist = row_weights @ target
         return hist.reshape(n_rows, n_cols, n_bins)
-    np.matmul(row_weights, acc2d, out=out.reshape(n_rows, n_cols * n_bins))
+    np.matmul(row_weights, target, out=out.reshape(n_rows, stride))
     return out

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.arena import BufferArena
 from repro.errors import ShapeError
-from repro.hog import HogParameters, cell_histograms
+from repro.hog import HogParameters, cell_histograms, histogram
 
 
 def hard_params(**kw):
@@ -132,3 +133,71 @@ class TestValidation:
     def test_rejects_1d(self):
         with pytest.raises(ShapeError):
             cell_histograms(np.ones(64), np.ones(64), hard_params())
+
+
+class TestRowStrips:
+    """Strip height never changes a bit of the result."""
+
+    @staticmethod
+    def _run(monkeypatch, budget, mag, ori, params, use_arena):
+        monkeypatch.setattr(histogram, "STRIP_PIXELS", budget)
+        arena = BufferArena() if use_arena else None
+        return cell_histograms(mag, ori, params, arena=arena)
+
+    @pytest.fixture(scope="class")
+    def random_frame(self):
+        # Neither dimension is a whole number of cells, and the 1080
+        # kept rows are no multiple of the default 16-row strip.
+        rng = np.random.default_rng(12)
+        mag = rng.random((1083, 1925))
+        ori = rng.random((1083, 1925)) * np.pi * 0.999
+        return mag, ori
+
+    @pytest.mark.parametrize("interpolate", [True, False])
+    @pytest.mark.parametrize("use_arena", [False, True])
+    def test_random_frame_bitwise_equal(self, monkeypatch, random_frame,
+                                        interpolate, use_arena):
+        mag, ori = random_frame
+        params = HogParameters(spatial_interpolation=interpolate)
+        whole = self._run(monkeypatch, mag.size, mag, ori, params,
+                          use_arena)
+        # One cell row per strip, then 7 cell rows (a ragged last strip).
+        for budget in (1, 7 * 8 * 1920):
+            strips = self._run(monkeypatch, budget, mag, ori, params,
+                               use_arena)
+            assert strips.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("interpolate", [True, False])
+    @pytest.mark.parametrize("use_arena", [False, True])
+    @pytest.mark.parametrize("angle", [0.0, np.nextafter(np.pi, 0.0)])
+    def test_flat_frame_every_pixel_wraps(self, monkeypatch, interpolate,
+                                          use_arena, angle):
+        # Angle 0 puts every pixel's low bin at -1 and an angle just
+        # under pi its high bin at n_bins: both wrap for every pixel.
+        mag = np.ones((96, 80))
+        ori = np.full((96, 80), angle)
+        params = HogParameters(spatial_interpolation=interpolate)
+        whole = self._run(monkeypatch, mag.size, mag, ori, params,
+                          use_arena)
+        strips = self._run(monkeypatch, 1, mag, ori, params, use_arena)
+        assert strips.tobytes() == whole.tobytes()
+        per_bin = whole.sum(axis=(0, 1))
+        assert per_bin[0] > 0 and per_bin[-1] > 0
+        assert not per_bin[1:-1].any()
+
+    def test_hdtv_scratch_is_strip_sized(self):
+        # Only the pixel-row accumulator and the row-weight matrix span
+        # the frame; every other slab holds at most two strips.
+        rng = np.random.default_rng(3)
+        mag = rng.random((1080, 1920))
+        ori = rng.random((1080, 1920)) * np.pi * 0.999
+        arena = BufferArena()
+        cell_histograms(mag, ori, HogParameters(), arena=arena)
+        full_height = {"hog.hist_acc": 1080 * 240 * 9 * 8,
+                       "hog.row_weights": 135 * 1080 * 8}
+        for name, nbytes in full_height.items():
+            assert arena.capacity(name) == nbytes
+        strip_budget = 2 * histogram.STRIP_PIXELS * 8
+        for name in set(arena.names) - set(full_height):
+            assert arena.capacity(name) <= strip_budget, name
+        assert arena.slab_bytes < 24 * 2**20  # 179 MiB full-frame
