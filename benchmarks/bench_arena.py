@@ -6,8 +6,7 @@ and per-frame allocation churn, and does it change the detections?
 The arena replaces every full-frame temporary in the hot kernels
 (gradients, histogram voting, block normalization, scoring) with views
 into named preallocated slabs, so a steady-state frame performs no
-slab allocations at all — the only remaining per-frame allocation is
-``np.bincount``'s own output inside the histogram scatter.
+slab allocations at all.
 
 Because every ``out=`` kernel runs the identical operation sequence on
 both paths (docs/MEMORY.md "out= kernel conventions"), the arena is

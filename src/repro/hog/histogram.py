@@ -8,19 +8,19 @@ additionally split bilinearly across the four nearest cells (the full
 trilinear scheme of Dalal & Triggs); with it disabled each pixel votes
 only into its own cell, matching the hardware HOG pipeline of [10].
 
-The implementation is fully vectorized: orientation votes are
-scatter-accumulated over flattened (cell, bin) indices, and the
-bilinear spatial weighting — separable by construction — is applied as
-a column pass inside the scatter followed by a row pass as a single
-banded matmul.  The scatter itself has two bitwise-identical backends
-(see :func:`_scatter_add`): ``numpy.bincount`` on the allocating path,
-``numpy.add.at`` into a reused arena slab when a
-:class:`~repro.arena.BufferArena` is supplied.
-
-Voting and scattering stream through the frame in horizontal strips of
-whole cell rows (:data:`STRIP_PIXELS`), the software counterpart of the
-paper's line buffers: only one strip's temporaries are live at a time,
-and only the pixel-row accumulator spans the frame.
+The kernel streams through the frame in horizontal strips of whole
+cell rows (:data:`~repro.imgproc.gradients.STRIP_PIXELS`, shared with
+:func:`~repro.imgproc.gradient_polar`), the software counterpart of
+the paper's line buffers: only one strip's temporaries are live, and
+only the output cell grid spans the frame.  Within a strip, orientation
+votes are scatter-accumulated (``numpy.add.at``) over flattened
+(row, cell column, bin) indices.  The bilinear spatial weighting is
+separable, so it runs as a column pass inside the scatter, into a
+strip-sized pixel-row accumulator, followed by a row pass that folds
+each cell row's pixel rows onto it and its two neighbours in one fixed
+order (:func:`_fold_strip`).  The result is therefore bitwise
+independent of the strip height, and bitwise equal with and without a
+:class:`~repro.arena.BufferArena`.
 """
 
 from __future__ import annotations
@@ -30,18 +30,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.contracts import check_array
-from repro.errors import ShapeError
+from repro.errors import ParameterError, ShapeError
 from repro.hog.parameters import HogParameters
+from repro.imgproc.gradients import STRIP_PIXELS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
-
-
-#: Pixel budget of one row strip of :func:`cell_histograms`.  A strip's
-#: vote and scatter temporaries (eleven float64/intp frames plus the
-#: scatter slab) then take under 3 MB, small enough to stay
-#: cache-resident.  Frames under the budget run as a single strip.
-STRIP_PIXELS = 32768
 
 
 def _scratch(
@@ -69,7 +63,8 @@ def _orientation_votes(
     correct topology for both unsigned ([0, pi)) and signed ([0, 2pi))
     orientations; angles must already lie in that range (the
     :func:`repro.imgproc.gradient_polar` contract), which is what lets
-    the wrap be a single masked add instead of a full modulo.
+    the wrap be a single masked add instead of a full modulo.  Angles
+    outside it raise :class:`~repro.errors.ParameterError`.
 
     ``scratch`` holds six arrays of the input's shape — ``(coord,
     floor, lo, hi, w_hi, w_lo)``, float64 except the two intp bin
@@ -85,12 +80,20 @@ def _orientation_votes(
     coord -= 0.5
     np.floor(coord, out=lo_f)
     np.copyto(lo, lo_f, casting="unsafe")
+    # In-range orientations ([0, span)) give lo in [-1, n_bins - 1].
+    # Anything else would scatter to a wrapped or out-of-bounds index.
+    if lo.min() < -1 or lo.max() > n_bins - 1:
+        raise ParameterError(
+            "cell_histograms: orientation must lie in [0, "
+            f"{params.orientation_span:.6g}) (fold raw arctan2 angles "
+            "with repro.imgproc.gradient_polar)"
+        )
     frac = coord
     frac -= lo_f
-    # In-range orientations ([0, span)) give lo in [-1, n_bins - 1], so
-    # a masked add/subtract replaces two np.mod calls.  ``where=``, not
-    # boolean fancy indexing: on flat frames every pixel wraps, and a
-    # fancy-index += would gather and scatter all of them.
+    # With lo in [-1, n_bins - 1], a masked add/subtract replaces two
+    # np.mod calls.  ``where=``, not boolean fancy indexing: on flat
+    # frames every pixel wraps, and a fancy-index += would gather and
+    # scatter all of them.
     np.add(lo, 1, out=bin_hi)
     np.subtract(bin_hi, n_bins, out=bin_hi, where=bin_hi == n_bins)
     bin_lo = lo
@@ -100,33 +103,6 @@ def _orientation_votes(
     return bin_lo, w_lo, bin_hi, w_hi
 
 
-def _scatter_add(
-    target: np.ndarray,
-    idx: np.ndarray,
-    weights: np.ndarray,
-    arena: "BufferArena | None",
-) -> None:
-    """``target[idx] += weights`` with duplicate indices accumulating.
-
-    Without an arena this is ``numpy.bincount``, whose freshly
-    allocated output array is the last per-frame full-histogram
-    allocation of the hot path.  With one, the votes are scattered
-    through ``numpy.add.at`` into a zeroed, reused arena slab
-    (``hog.hist_scatter``) and the slab added into ``target`` — same
-    temporary, no allocation.  Both backends accumulate element-wise in
-    input order and add one whole intermediate array into ``target``,
-    so their float summation grouping is identical and the results are
-    bitwise equal (the ``tests/test_arena.py`` equivalence gate).
-    """
-    if arena is None:
-        target += np.bincount(idx, weights=weights,
-                              minlength=target.size)
-        return
-    slab = arena.zeros("hog.hist_scatter", (target.size,))
-    np.add.at(slab, idx, weights)
-    target += slab
-
-
 def _axis_cell_votes(
     n_pixels: int, cell_size: int, n_cells: int, interpolate: bool
 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
@@ -134,7 +110,7 @@ def _axis_cell_votes(
 
     With interpolation, each pixel contributes to the two cells whose
     centers bracket it; contributions falling outside the grid get zero
-    weight (index is clipped so it stays a valid bincount target).
+    weight (index is clipped so it stays a valid scatter target).
     Without interpolation every pixel votes into its own cell with unit
     weight, reported as ``None`` so the caller can skip the spatial
     weighting entirely (the hardware-faithful [10] configuration).
@@ -152,6 +128,97 @@ def _axis_cell_votes(
     return votes
 
 
+def _row_fold(
+    h: int, cs: int, n_rows: int
+) -> list[tuple[np.ndarray, slice | None]]:
+    """The trilinear row pass as a fold of pixel rows onto cell rows.
+
+    A pixel row votes into its own cell row and at most one neighbour:
+    the cell row below (lower half of a cell) or above (upper half).
+    Returns ``[(weights, rows)]`` for those three targets — own, below,
+    above — where ``weights`` is ``(cs, n_rows)``, each pixel row's
+    weight into that target by in-cell offset and cell row, and
+    ``rows`` the slice of offsets carrying nonzero weight (``None`` if
+    there are none).  The weights are :func:`_axis_cell_votes`' own, so
+    the fold applies exactly the banded row-weight matrix of the dense
+    formulation.
+    """
+    rows = np.arange(h)
+    fold = np.zeros((3, h))
+    for cell, weight in _axis_cell_votes(h, cs, n_rows, True):
+        # cell - home is 0, +1 or -1: fold rows own, below, above.
+        fold[(cell - rows // cs) % 3, rows] += weight
+    targets = []
+    for weights in fold.reshape(3, n_rows, cs).transpose(0, 2, 1):
+        nonzero = np.flatnonzero(weights.any(axis=1))
+        span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else None
+        targets.append((weights, span))
+    return targets
+
+
+def _weighted_rows(
+    acc: np.ndarray,
+    weights: np.ndarray,
+    rows: slice,
+    out: np.ndarray,
+    prod: np.ndarray,
+) -> np.ndarray:
+    """``out[i] = sum(weights[k, i] * acc[k, i] for k in rows)``.
+
+    Summed term by term in offset order, for every cell row ``i`` of
+    the strip at once: the same operation sequence per cell row
+    whatever the strip height.  ``prod`` is scratch of ``acc``'s shape.
+    """
+    prod = prod[:rows.stop - rows.start]
+    np.multiply(acc[rows], weights[rows, :, None], out=prod)
+    out[...] = prod[0]
+    for k in range(1, len(prod)):
+        out += prod[k]
+    return out
+
+
+def _fold_strip(
+    acc: np.ndarray,
+    fold: list[tuple[np.ndarray, slice | None]],
+    c0: int,
+    hist: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Fold one strip's pixel-row accumulator onto its cell rows.
+
+    ``acc`` is ``(cs, n, stride)``: the column-interpolated votes of
+    cell rows ``[c0, c0 + n)``, one accumulator row per pixel row,
+    grouped by in-cell offset so each offset's rows are contiguous.
+    Every cell row ``i`` of ``hist`` is summed in one fixed order: its
+    own pixel rows, then the lower-half contribution of row ``i - 1``,
+    then the upper-half contribution of row ``i + 1``.  Across a strip
+    boundary, row ``c0 - 1``'s lower half arrives through ``carry``
+    (written by the previous strip) and row ``c0 - 1`` receives this
+    strip's first upper half last, so the order, and with it every
+    bit of the result, does not depend on where the strips are cut.
+    ``scratch`` is ``(prod, sums, carry)``: products of ``acc``'s
+    shape, the below/above sums, and the one-row carry.
+    """
+    n = acc.shape[1]
+    (own_w, own), (below_w, below), (above_w, above) = fold
+    prod, sums, carry = scratch
+    prod = prod[:, :n]
+    below_sum, above_sum = sums[:, :n]
+    dest = hist[c0:c0 + n]
+    _weighted_rows(acc, own_w[:, c0:c0 + n], own, dest, prod)
+    if below is not None:
+        if c0:
+            dest[0] += carry
+        _weighted_rows(acc, below_w[:, c0:c0 + n], below, below_sum, prod)
+        dest[1:] += below_sum[:-1]
+        carry[...] = below_sum[-1]
+    if above is not None:
+        _weighted_rows(acc, above_w[:, c0:c0 + n], above, above_sum, prod)
+        dest[:-1] += above_sum[1:]
+        if c0:
+            hist[c0 - 1] += above_sum[0]
+
+
 def cell_histograms(
     magnitude: np.ndarray,
     orientation: np.ndarray,
@@ -166,8 +233,10 @@ def cell_histograms(
     ----------
     magnitude, orientation:
         ``(H, W)`` gradient magnitude and angle (radians; unsigned
-        angles must already lie in ``[0, pi)``, signed in ``[0, 2*pi)``
-        — :func:`repro.imgproc.gradient_polar` produces this form).
+        angles must lie in ``[0, pi)``, signed in ``[0, 2*pi)`` —
+        :func:`repro.imgproc.gradient_polar` produces this form).
+        Angles outside the range raise
+        :class:`~repro.errors.ParameterError`.
     params:
         HOG configuration.
     out:
@@ -178,11 +247,10 @@ def cell_histograms(
         the allocating path.
     arena:
         Optional :class:`~repro.arena.BufferArena` supplying the
-        trilinear path's full-height accumulator (``hog.hist_acc``) and
-        banded row-weight matrix (``hog.row_weights``), plus the
-        strip-sized vote frames (``hog.vote_*``) and the scatter slab
-        (``hog.hist_scatter``) that replaces ``numpy.bincount``'s
-        per-call output allocation.
+        strip-sized scratch: the vote frames (``hog.vote_*``), and on
+        the trilinear path the pixel-row accumulator
+        (``hog.strip_acc``) and the row-fold scratch
+        (``hog.fold_prod``, ``hog.fold_sums``, ``hog.fold_carry``).  Bitwise identical to running without.
 
     Returns
     -------
@@ -209,19 +277,17 @@ def cell_histograms(
     ori = ori[:h, :w]
 
     n_bins = params.n_bins
-    if out is not None:
+    if out is None:
+        out = np.empty((n_rows, n_cols, n_bins), dtype=np.float64)
+    else:
         from repro.arena import check_out
 
         check_out(out, "cell_histograms", (n_rows, n_cols, n_bins),
                   np.float64, mag, ori)
 
-    # Row strips, in order: each pixel row scatters only into its own
-    # rows of the target, so a strip's summation order per target is
-    # the whole frame's and the result is bitwise independent of the
-    # strip height.  Strips are whole cell rows, which keeps that true
-    # for the in-cell path too (its targets are cell rows).  Only one
-    # strip's vote and scatter temporaries are ever live, so the ~40
-    # full-frame passes of a large frame run in cache.
+    # Row strips of whole cell rows, in order.  Only one strip's vote,
+    # scatter and fold temporaries are ever live, so the ~40 passes
+    # over a large frame run in cache.
     strip = cs * max(1, min(n_rows, STRIP_PIXELS // (cs * w)))
     shape = (strip, w)
     votes = (
@@ -237,38 +303,38 @@ def cell_histograms(
 
     interpolate = params.spatial_interpolation
     stride = n_cols * n_bins
+    hist = out.reshape(n_rows, stride)
+    rows = np.arange(strip, dtype=np.intp)
     if interpolate:
         # Bilinear spatial voting is separable, so split it into two
-        # passes instead of scattering all four (row, col) neighbor
-        # combos: first accumulate column-interpolated votes at full
-        # pixel-row resolution (the only data-dependent scatter, via
-        # the orientation bin), then collapse pixel rows onto cell rows
-        # with one small matmul against the banded row-weight matrix.
-        rows_per_target = 1
-        if arena is None:
-            acc = np.zeros(h * stride, dtype=np.float64)
-            row_weights = np.zeros((n_rows, h), dtype=np.float64)
-        else:
-            acc = arena.zeros("hog.hist_acc", (h * stride,))
-            row_weights = arena.zeros("hog.row_weights", (n_rows, h))
-        target = acc.reshape(h, stride)
+        # passes instead of scattering all four (row, col) neighbour
+        # combos: first accumulate column-interpolated votes at pixel
+        # row resolution (the only data-dependent scatter, via the
+        # orientation bin), then fold the strip's pixel rows onto its
+        # cell rows.  Pixel row r of a strip accumulates into
+        # acc[r % cs, r // cs], so the fold's operands are contiguous.
+        acc = _scratch(arena, "hog.strip_acc", (cs, strip // cs, stride))
+        target_row = rows % cs * (strip // cs) + rows // cs
+        fold = _row_fold(h, cs, n_rows)
+        fold_scratch = (
+            _scratch(arena, "hog.fold_prod", (cs, strip // cs, stride)),
+            _scratch(arena, "hog.fold_sums", (2, strip // cs, stride)),
+            _scratch(arena, "hog.fold_carry", (stride,)),
+        )
     else:
         # Every pixel votes into its own cell with unit spatial weight
         # (the hardware-faithful [10] configuration): no spatial
         # weighting at all, scattered straight into the cell grid.
-        rows_per_target = cs
-        if out is None:
-            out = np.zeros((n_rows, n_cols, n_bins), dtype=np.float64)
-        else:
-            out.fill(0.0)
-        target = out.reshape(n_rows, stride)
+        # Each pixel row scatters only into its own cell row, in order,
+        # so the strip height cannot change the summation order.
+        target_row = rows // cs
+        hist.fill(0.0)
     # Strip-local scatter bases, one per column vote; strips start on a
     # cell row, so every strip shares them.
     col_votes = _axis_cell_votes(w, cs, n_cols, interpolate)
     bases = _scratch(arena, "hog.vote_base", (len(col_votes), *shape),
                      np.intp)
-    row_base = (np.arange(strip, dtype=np.intp) // rows_per_target
-                * stride)[:, None]
+    row_base = (target_row * stride)[:, None]
     for base, (col_idx, _) in zip(bases, col_votes):
         np.add(row_base, col_idx * n_bins, out=base)
 
@@ -278,8 +344,11 @@ def cell_histograms(
         bin_lo, w_lo, bin_hi, w_hi = _orientation_votes(
             mag[r0:r1], ori[r0:r1], params, tuple(v[:n] for v in votes)
         )
-        dest = target[r0 // rows_per_target:r1 // rows_per_target]
-        dest = dest.reshape(-1)
+        if interpolate:
+            acc.fill(0.0)
+            flat = acc.reshape(-1)
+        else:
+            flat = hist[r0 // cs:r1 // cs].reshape(-1)
         idx = scatter_idx[:n]
         for base, (_, col_w) in zip(bases, col_votes):
             for bins, weights in ((bin_lo, w_lo), (bin_hi, w_hi)):
@@ -287,15 +356,8 @@ def cell_histograms(
                 if col_w is not None:
                     weights = np.multiply(weights, col_w,
                                           out=scatter_w[:n])
-                _scatter_add(dest, idx.ravel(), weights.ravel(), arena)
-
-    if not interpolate:
-        return out
-    pixel_rows = np.arange(h)
-    for row_idx, row_w in _axis_cell_votes(h, cs, n_rows, True):
-        row_weights[row_idx, pixel_rows] += row_w
-    if out is None:
-        hist = row_weights @ target
-        return hist.reshape(n_rows, n_cols, n_bins)
-    np.matmul(row_weights, target, out=out.reshape(n_rows, stride))
+                np.add.at(flat, idx.ravel(), weights.ravel())
+        if interpolate:
+            _fold_strip(acc[:, :n // cs], fold, r0 // cs, hist,
+                        fold_scratch)
     return out

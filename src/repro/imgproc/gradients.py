@@ -21,6 +21,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
 
 
+#: Pixel budget of one row strip of the streaming extractor kernels,
+#: :func:`gradient_polar` and :func:`repro.hog.histogram.cell_histograms`.
+#: A strip's temporaries then take a few MB at most, small enough to
+#: stay cache-resident.  Frames under the budget run as a single strip.
+STRIP_PIXELS = 32768
+
+
 class GradientFilter(enum.Enum):
     """Derivative mask used by :func:`gradient_xy`."""
 
@@ -84,34 +91,59 @@ def gradient_xy(
     raise ParameterError(f"unsupported gradient filter: {method!r}")
 
 
-def _centered_diff_into(
-    gray: np.ndarray, axis: int, out: np.ndarray
-) -> np.ndarray:
-    """:func:`_centered_diff` written into ``out`` (2-D, no np.pad).
+def _centered_rows(
+    gray: np.ndarray, r0: int, r1: int, fx: np.ndarray, fy: np.ndarray
+) -> None:
+    """CENTERED ``(fx, fy)`` of rows ``[r0, r1)`` of ``gray`` into strips.
 
-    Interior points use pure slice arithmetic in place; the replicated
-    border collapses to a one-line difference per edge.  Bitwise
-    identical to the padded formulation: both compute
+    ``fy`` reads the real rows just above and below the strip, so only
+    the frame's first and last rows use edge replication.  Bitwise
+    identical to :func:`gradient_xy`'s padded formulation: both compute
     ``(upper - lower) / 2`` (``* 0.5`` is the same exact operation for
-    a division by a power of two).
+    a division by a power of two), and a replicated edge collapses to a
+    one-line difference, which is zero on a one-pixel axis.
     """
-    n = gray.shape[axis]
-    if axis == 0:
-        if n == 1:
-            out.fill(0.0)
-            return out
-        np.subtract(gray[2:, :], gray[:-2, :], out=out[1:-1, :])
-        np.subtract(gray[1, :], gray[0, :], out=out[0, :])
-        np.subtract(gray[-1, :], gray[-2, :], out=out[-1, :])
-    else:
-        if n == 1:
-            out.fill(0.0)
-            return out
-        np.subtract(gray[:, 2:], gray[:, :-2], out=out[:, 1:-1])
-        np.subtract(gray[:, 1], gray[:, 0], out=out[:, 0])
-        np.subtract(gray[:, -1], gray[:, -2], out=out[:, -1])
-    out *= 0.5
-    return out
+    h, w = gray.shape
+    rows = gray[r0:r1]
+    np.subtract(rows[:, 2:], rows[:, :-2], out=fx[:, 1:-1])
+    np.subtract(rows[:, min(1, w - 1)], rows[:, 0], out=fx[:, 0])
+    np.subtract(rows[:, -1], rows[:, max(w - 2, 0)], out=fx[:, -1])
+    lo, hi = max(r0, 1), min(r1, h - 1)  # rows with both neighbours
+    if hi > lo:
+        np.subtract(gray[lo + 1:hi + 1], gray[lo - 1:hi - 1],
+                    out=fy[lo - r0:hi - r0])
+    if r0 == 0:
+        np.subtract(gray[min(1, h - 1)], gray[0], out=fy[0])
+    if r1 == h:
+        np.subtract(gray[h - 1], gray[max(h - 2, 0)], out=fy[-1])
+    fx *= 0.5
+    fy *= 0.5
+
+
+def _polar_into(
+    fx: np.ndarray,
+    fy: np.ndarray,
+    magnitude: np.ndarray,
+    orientation: np.ndarray,
+    period: float,
+) -> None:
+    """Equations (1)-(2) of ``(fx, fy)``, written into the outputs."""
+    # sqrt(fx^2 + fy^2) rather than np.hypot: gradients of unit-range
+    # images cannot overflow the square, and hypot's overflow-safe
+    # scaling costs ~6x on full frames.  orientation doubles as the
+    # fy^2 scratch: arctan2 overwrites it right after.
+    np.multiply(fy, fy, out=orientation)
+    np.multiply(fx, fx, out=magnitude)
+    np.add(magnitude, orientation, out=magnitude)
+    np.sqrt(magnitude, out=magnitude)
+    np.arctan2(fy, fx, out=orientation)  # [-pi, pi]
+    # Fold into [0, period) by adding one period to the negatives —
+    # arctan2 output needs at most a single wrap, and np.mod costs more
+    # than the rest of this function combined.
+    np.add(orientation, period, out=orientation, where=orientation < 0.0)
+    # The fold can land exactly on the right endpoint (angle == -pi
+    # signed, or round-off near zero unsigned); pull it back to 0.
+    orientation[orientation >= period] = 0.0
 
 
 def gradient_polar(
@@ -129,11 +161,16 @@ def gradient_polar(
     (must both be given or both omitted): float64, the grayscale
     image's shape, C-contiguous, and not aliasing ``image`` — the
     ``out=`` contract of docs/MEMORY.md, violations raise
-    :class:`~repro.errors.ParameterError`.  ``arena`` additionally
-    supplies the ``fx`` / ``fy`` derivative scratch (names
-    ``imgproc.fx`` / ``imgproc.fy``) for the CENTERED mask, making the
-    whole stage allocation-free in steady state.  Results are bitwise
-    identical to the allocating path.
+    :class:`~repro.errors.ParameterError`.
+
+    The CENTERED mask streams through the frame in row strips of about
+    :data:`STRIP_PIXELS` pixels, the software counterpart of the
+    paper's line buffers: only one strip of ``fx`` / ``fy`` derivative
+    scratch is live, taken from the ``imgproc.fx`` / ``imgproc.fy``
+    slabs of ``arena`` when one is given.  The result is bitwise equal
+    to the :func:`gradient_xy`-based formula at any strip height, with
+    or without an arena.  SOBEL and PREWITT run :func:`gradient_xy`
+    over the whole frame.
 
     Returns
     -------
@@ -149,47 +186,37 @@ def gradient_polar(
             "gradient_polar: out_magnitude and out_orientation must be "
             "given together"
         )
-    if out_magnitude is None:
-        fx, fy = gradient_xy(image, method=method)
-        # sqrt(fx^2 + fy^2) rather than np.hypot: gradients of
-        # unit-range images cannot overflow the square, and hypot's
-        # overflow-safe scaling costs ~6x on full frames.
-        magnitude = np.sqrt(fx * fx + fy * fy)
-        orientation = np.arctan2(fy, fx)  # [-pi, pi]
+    gray = ensure_grayscale(image)
+    if out_magnitude is None or out_orientation is None:
+        out_magnitude = np.empty(gray.shape)
+        out_orientation = np.empty(gray.shape)
     else:
         from repro.arena import check_out
 
-        gray = ensure_grayscale(image)
         check_out(out_magnitude, "gradient_polar", gray.shape,
                   np.float64, image, out_orientation)
         check_out(out_orientation, "gradient_polar", gray.shape,
                   np.float64, image)
-        if isinstance(method, str):
-            method = GradientFilter(method)
-        if arena is not None and method is GradientFilter.CENTERED:
-            fx = _centered_diff_into(
-                gray, 1, arena.get("imgproc.fx", gray.shape, np.float64)
-            )
-            fy = _centered_diff_into(
-                gray, 0, arena.get("imgproc.fy", gray.shape, np.float64)
-            )
-        else:
-            fx, fy = gradient_xy(gray, method=method)
-        magnitude = out_magnitude
-        orientation = out_orientation
-        # orientation doubles as the fy^2 scratch: it is overwritten by
-        # arctan2 right after the magnitude is finished.
-        np.multiply(fy, fy, out=orientation)
-        np.multiply(fx, fx, out=magnitude)
-        np.add(magnitude, orientation, out=magnitude)
-        np.sqrt(magnitude, out=magnitude)
-        np.arctan2(fy, fx, out=orientation)  # [-pi, pi]
-    # Fold into [0, period) by adding one period to the negatives —
-    # arctan2 output needs at most a single wrap, and np.mod costs more
-    # than the rest of this function combined.
+    if isinstance(method, str):
+        method = GradientFilter(method)
     period = 2.0 * np.pi if signed else np.pi
-    np.add(orientation, period, out=orientation, where=orientation < 0.0)
-    # The fold can land exactly on the right endpoint (angle == -pi
-    # signed, or round-off near zero unsigned); pull it back to 0.
-    orientation[orientation >= period] = 0.0
-    return magnitude, orientation
+    if method is not GradientFilter.CENTERED:
+        fx, fy = gradient_xy(gray, method=method)
+        _polar_into(fx, fy, out_magnitude, out_orientation, period)
+        return out_magnitude, out_orientation
+
+    h, w = gray.shape
+    strip = max(1, min(h, STRIP_PIXELS // w))
+    if arena is None:
+        fx_strip = np.empty((strip, w))
+        fy_strip = np.empty((strip, w))
+    else:
+        fx_strip = arena.get("imgproc.fx", (strip, w))
+        fy_strip = arena.get("imgproc.fy", (strip, w))
+    for r0 in range(0, h, strip):
+        r1 = min(r0 + strip, h)
+        fx, fy = fx_strip[:r1 - r0], fy_strip[:r1 - r0]
+        _centered_rows(gray, r0, r1, fx, fy)
+        _polar_into(fx, fy, out_magnitude[r0:r1], out_orientation[r0:r1],
+                    period)
+    return out_magnitude, out_orientation

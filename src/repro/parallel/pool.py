@@ -210,7 +210,10 @@ class ProcessWorkerPool:
         frees before ``deadline`` or the workers died.
         """
         if not ring.fits(frame):
-            payload = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
+            # Workers receive C-ordered frames on both transports; the
+            # ring's write converts the layout during its one copy.
+            payload = pickle.dumps(np.ascontiguousarray(frame),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
             return None, payload, "pickle"
         while True:
             slot = ring.acquire(timeout=_POLL_S)
@@ -241,7 +244,7 @@ class ProcessWorkerPool:
         """
         if self._closed:
             raise ParallelError("submit() on a closed ProcessWorkerPool")
-        frame = np.ascontiguousarray(frame)
+        frame = np.asarray(frame)
         ring = self._ensure_ring(frame)
         deadline = time.perf_counter() + timeout
         handle, payload, transport = self._stage_frame(ring, frame, deadline)
@@ -288,7 +291,7 @@ class ProcessWorkerPool:
             )
         if not items:
             return []
-        frames = [np.ascontiguousarray(frame) for _, frame, _ in items]
+        frames = [np.asarray(frame) for _, frame, _ in items]
         ring = self._ensure_ring(frames[0])
         if len(items) > self._slots:
             raise ParallelError(

@@ -206,23 +206,27 @@ class SharedFrameRing:
         # of any shape/dtype — including deliberately corrupt frames,
         # whose faults must surface in the worker's detect(), not here.
         check_array(frame, "frame")
-        frame = np.ascontiguousarray(frame)
+        frame = np.asarray(frame)
         if frame.nbytes > self.slot_bytes:
             raise ParallelError(
                 f"frame of {frame.nbytes} bytes exceeds the "
                 f"{self.slot_bytes}-byte slot; use the pickle fallback"
             )
         offset = slot * self.slot_bytes
+        # A 0-d frame travels as shape (1,), the shape the pickle
+        # fallback's np.ascontiguousarray gives it.
+        shape = frame.shape or (1,)
         view = np.ndarray(
-            frame.shape, dtype=frame.dtype, buffer=self._shm.buf,
-            offset=offset,
+            shape, dtype=frame.dtype, buffer=self._shm.buf, offset=offset,
         )
+        # One pass: the assignment converts any layout (Fortran order,
+        # slices) to the slot's C order, with no contiguous temporary.
         view[...] = frame
         return FrameHandle(
             segment=self._shm.name,
             slot=slot,
             offset=offset,
-            shape=tuple(int(s) for s in frame.shape),
+            shape=tuple(int(s) for s in shape),
             dtype=frame.dtype.str,
         )
 

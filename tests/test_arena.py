@@ -237,11 +237,10 @@ class TestSteadyState:
         # tracemalloc peak-minus-baseline bounds the transient
         # allocation churn of one steady-state frame.  The arena path
         # must stay under half the allocating path's churn and under
-        # ~3 frame buffers absolute (the histogram scatter now runs
-        # through the hog.hist_scatter slab rather than np.bincount's
-        # fresh output, so the remaining churn is small bookkeeping; a
-        # regression that reintroduces per-frame full-frame buffers
-        # trips this).
+        # ~3 frame buffers absolute (the histogram scatters straight
+        # into strip-sized slabs, so the remaining churn is small
+        # bookkeeping; a regression that reintroduces per-frame
+        # full-frame buffers trips this).
         frame = np.random.default_rng(3).random((160, 160))
         frame_bytes = frame.nbytes
 

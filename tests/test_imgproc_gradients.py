@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.imgproc import GradientFilter, gradient_polar, gradient_xy
+from repro.arena import BufferArena
+from repro.imgproc import (
+    GradientFilter,
+    gradient_polar,
+    gradient_xy,
+    gradients,
+)
 
 
 class TestGradientXy:
@@ -95,3 +101,57 @@ class TestGradientPolar:
         fx, fy = gradient_xy(img)
         mag, _ = gradient_polar(img)
         np.testing.assert_allclose(mag, np.hypot(fx, fy))
+
+
+class TestGradientPolarStrips:
+    """The CENTERED strip loop is bitwise equal to the gradient_xy formula."""
+
+    @staticmethod
+    def _reference(image, signed):
+        fx, fy = gradient_xy(image)
+        magnitude = np.sqrt(fx * fx + fy * fy)
+        orientation = np.arctan2(fy, fx)
+        period = 2.0 * np.pi if signed else np.pi
+        orientation = np.where(orientation < 0.0, orientation + period,
+                               orientation)
+        orientation[orientation >= period] = 0.0
+        return magnitude, orientation
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 17])
+    @pytest.mark.parametrize("width", [1, 2, 13])
+    @pytest.mark.parametrize("strip_rows", [1, 2, None])
+    @pytest.mark.parametrize("use_arena", [False, True])
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_equal_to_gradient_xy(self, monkeypatch, height, width,
+                                          strip_rows, use_arena, signed,
+                                          order):
+        rng = np.random.default_rng(height * 100 + width)
+        image = np.asarray(rng.random((height, width)), order=order)
+        # One-row strips, two-row strips (ragged at odd heights) and a
+        # single strip covering the frame.
+        budget = image.size if strip_rows is None else strip_rows * width
+        monkeypatch.setattr(gradients, "STRIP_PIXELS", budget)
+        if use_arena:
+            magnitude, orientation = gradient_polar(
+                image, signed=signed, arena=BufferArena(),
+                out_magnitude=np.empty(image.shape),
+                out_orientation=np.empty(image.shape),
+            )
+        else:
+            magnitude, orientation = gradient_polar(image, signed=signed)
+        ref_magnitude, ref_orientation = self._reference(image, signed)
+        assert magnitude.tobytes() == ref_magnitude.tobytes()
+        assert orientation.tobytes() == ref_orientation.tobytes()
+
+    def test_scratch_is_strip_sized(self):
+        image = np.random.default_rng(2).random((100, 1920))
+        arena = BufferArena()
+        gradient_polar(image, arena=arena,
+                       out_magnitude=np.empty(image.shape),
+                       out_orientation=np.empty(image.shape))
+        strip_rows = gradients.STRIP_PIXELS // 1920
+        assert strip_rows < 100  # several strips at this width...
+        assert arena.names == ("imgproc.fx", "imgproc.fy")
+        for name in arena.names:  # ...and scratch for one of them
+            assert arena.capacity(name) == strip_rows * 1920 * 8

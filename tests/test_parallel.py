@@ -182,6 +182,33 @@ class TestSharedFrameRing:
             detach_all()
             ring.close()
 
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    def test_non_contiguous_frame_round_trips_bitwise(self, layout):
+        base = np.random.default_rng(2).random((96, 130))
+        frame = (np.asfortranarray(base) if layout == "fortran"
+                 else base[::2, 1:-1])
+        ring = SharedFrameRing(1, base.nbytes, queue.Queue())
+        try:
+            handle = ring.write(ring.acquire(timeout=1.0), frame)
+            view = attach_view(handle)
+            assert handle.shape == frame.shape
+            assert view.flags.c_contiguous
+            assert view.tobytes() == np.ascontiguousarray(frame).tobytes()
+        finally:
+            detach_all()
+            ring.close()
+
+    def test_zero_d_frame_travels_as_one_element(self):
+        ring = SharedFrameRing(1, 64, queue.Queue())
+        try:
+            handle = ring.write(ring.acquire(timeout=1.0),
+                                np.array(2.5))
+            assert handle.shape == (1,)
+            assert attach_view(handle).tolist() == [2.5]
+        finally:
+            detach_all()
+            ring.close()
+
     def test_fits_and_oversize_rejection(self):
         ring = SharedFrameRing(1, 64, queue.Queue())
         try:
