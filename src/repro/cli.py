@@ -391,7 +391,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.core import DetectorConfig
+    from repro.parallel.blas import limit_blas_threads
 
+    # A spinning BLAS helper would take the core the event loop and the
+    # workers need (docs/SERVING.md).
+    limit_blas_threads(1)
     config = DetectorConfig(
         scales=tuple(args.scales),
         threshold=args.threshold,

@@ -23,6 +23,12 @@ frame transport cheap.
     submits frames, yields result/snapshot messages, merges nothing
     itself — the stream pipeline keeps ordering/fault semantics so the
     thread and process backends behave identically.
+:func:`limit_blas_threads`
+    Pins the OpenBLAS builds loaded in the calling process to a thread
+    count.  Every pool worker pins itself to one thread, and so does
+    the ``repro-das serve`` process; a library caller that runs the
+    thread backend in its own process can call
+    ``limit_blas_threads(1)`` too.
 
 Select it per-run with ``StreamPipeline(..., backend="process")`` or
 ``repro-das stream --backend process``; see docs/STREAMING.md for
@@ -46,6 +52,7 @@ from repro.parallel.shm import (
     write_result_words,
 )
 from repro.parallel.pool import ProcessWorkerPool, default_start_method
+from repro.parallel.blas import limit_blas_threads
 
 __all__ = [
     "DetectorSpec",
@@ -61,4 +68,5 @@ __all__ = [
     "write_result_words",
     "ProcessWorkerPool",
     "default_start_method",
+    "limit_blas_threads",
 ]

@@ -335,7 +335,8 @@ class ProcessWorkerPool:
         Message shapes (tuples, kind first):
 
         * ``("result", generation, index, status, result, error,
-          worker_id, busy_s, t0)`` — one frame's outcome;
+          worker_id, busy_s, cpu_s, t0)`` — one frame's outcome, with
+          the worker's wall and CPU seconds spent on it;
         * ``("snapshot", worker_id, snapshot_dict | None)`` — shutdown
           telemetry flush;
         * ``("dead", worker_id, error)`` — a worker failed to start.
@@ -362,10 +363,10 @@ class ProcessWorkerPool:
             message = self._decode_result_message(message)
         elif message[0] == "batch_result":
             _, generation, worker_id, outcomes = message
-            for index, status, reply, error, busy_s, t0 in outcomes:
+            for index, status, reply, error, busy_s, cpu_s, t0 in outcomes:
                 self._expanded.append(self._decode_result_message(
                     ("result", generation, index, status, reply,
-                     error, worker_id, busy_s, t0)
+                     error, worker_id, busy_s, cpu_s, t0)
                 ))
             message = self._expanded.popleft()
         return message

@@ -12,6 +12,11 @@ ring's result lane (:mod:`repro.parallel.results`) with only a
 :class:`~repro.parallel.results.ResultHandle` crossing the queue, else
 pickled whole.
 
+Each worker pins BLAS to one thread before it builds the detector
+(:func:`~repro.parallel.blas.limit_blas_threads`): the pool, one
+worker per core, is the unit of parallelism, and a second OpenBLAS
+thread would only spin on a core a sibling process needs.
+
 Fault isolation mirrors the thread backend exactly: a frame that makes
 ``detect()`` raise produces a ``("result", ..., "failed", ...)`` message
 — never a dead worker.  On the terminal ``("stop",)`` task the worker
@@ -25,6 +30,7 @@ import pickle
 import time
 from typing import Any, TYPE_CHECKING
 
+from repro.parallel.blas import limit_blas_threads
 from repro.parallel.results import encode_reply
 from repro.parallel.shm import attach_view, detach_all
 
@@ -50,10 +56,13 @@ def get_detector(spec: "DetectorSpec") -> Any:
     return detector
 
 
-def _snapshot_dict(detector: Any) -> dict[str, Any] | None:
+def _snapshot_dict(detector: Any,
+                   blas_threads: int | None) -> dict[str, Any] | None:
     registry = getattr(detector, "telemetry", None)
     if registry is None or not getattr(registry, "enabled", False):
         return None
+    if blas_threads is not None:
+        registry.set_gauge("parallel.blas_threads", blas_threads)
     return registry.snapshot().to_dict()
 
 
@@ -61,12 +70,15 @@ def _serve_frame(
     detector: Any,
     entry: "tuple[int, float, FrameHandle | None, bytes | None, ResultSlot | None]",  # noqa: E501
     free_queue: "Queue[int]",
-) -> tuple[int, str, Any, "str | None", float, float]:
+) -> tuple[int, str, Any, "str | None", float, float, float]:
     """Detect one staged frame; returns its outcome tuple.
 
-    ``(index, status, reply, error, busy_s, t0)`` — the per-frame
-    payload of both the single-frame ``("result", ...)`` message and
-    the combined ``("batch_result", ...)`` message.  The frame's ring
+    ``(index, status, reply, error, busy_s, cpu_s, t0)`` — the
+    per-frame payload of both the single-frame ``("result", ...)``
+    message and the combined ``("batch_result", ...)`` message.
+    ``busy_s`` is wall time; ``cpu_s`` is the process's CPU time over
+    the same interval, every thread included, so a BLAS helper that
+    spins shows as ``cpu_s`` above ``busy_s``.  The frame's ring
     slot is freed the moment ``detect()`` returns (or raises): nothing
     reads the view afterwards.  The reply prefers the shared-memory
     result lane (see :func:`~repro.parallel.results.encode_reply`).
@@ -76,6 +88,7 @@ def _serve_frame(
     """
     index, t0, handle, payload, rslot = entry
     start = time.perf_counter()
+    cpu_start = time.process_time()
     try:
         try:
             if handle is not None:
@@ -87,10 +100,12 @@ def _serve_frame(
             if handle is not None:
                 free_queue.put(handle.slot)
         return (index, "ok", encode_reply(result, rslot), None,
-                time.perf_counter() - start, t0)
+                time.perf_counter() - start,
+                time.process_time() - cpu_start, t0)
     except Exception as exc:  # per-frame fault isolation
         return (index, "failed", None, f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - start, t0)
+                time.perf_counter() - start,
+                time.process_time() - cpu_start, t0)
 
 
 def worker_main(worker_id: int, spec_bytes: bytes,
@@ -98,6 +113,7 @@ def worker_main(worker_id: int, spec_bytes: bytes,
                 free_queue: "Queue[int]") -> None:
     """Process target: rebuild the detector, then serve frame tasks."""
     try:
+        blas_threads = limit_blas_threads(1)
         spec = pickle.loads(spec_bytes)
         detector = get_detector(spec)
     except BaseException as exc:  # startup failure: report, then die
@@ -111,7 +127,8 @@ def worker_main(worker_id: int, spec_bytes: bytes,
             kind = task[0]
             if kind == "stop":
                 result_queue.put(
-                    ("snapshot", worker_id, _snapshot_dict(detector))
+                    ("snapshot", worker_id,
+                     _snapshot_dict(detector, blas_threads))
                 )
                 break
             if kind == "batch":
@@ -134,10 +151,10 @@ def worker_main(worker_id: int, spec_bytes: bytes,
             outcome = _serve_frame(
                 detector, (index, t0, handle, payload, rslot), free_queue
             )
-            index, status, reply, error, busy_s, t0 = outcome
+            index, status, reply, error, busy_s, cpu_s, t0 = outcome
             result_queue.put(
                 ("result", generation, index, status, reply, error,
-                 worker_id, busy_s, t0)
+                 worker_id, busy_s, cpu_s, t0)
             )
     finally:
         detach_all()

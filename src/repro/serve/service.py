@@ -76,9 +76,11 @@ _JOIN_TIMEOUT_S = 5.0
 _DONE = object()
 
 #: A callable the backends use to hand one finished frame back to the
-#: event loop: ``(tag, status, result, error, worker, busy_s)``.
-DeliverFn = Callable[[int, str, Any, "str | None", "int | None", float],
-                     None]
+#: event loop: ``(tag, status, result, error, worker, busy_s, cpu_s)``
+#: — the worker's wall and CPU seconds spent on the frame.
+DeliverFn = Callable[
+    [int, str, Any, "str | None", "int | None", float, float], None
+]
 
 
 class _ThreadBackend:
@@ -139,20 +141,23 @@ class _ThreadBackend:
                 break
             for tag, frame in task:
                 start = time.perf_counter()
+                cpu_start = time.thread_time()
                 if detector is None:
                     deliver(tag, "failed", None,
                             f"worker failed to start: {startup_error}",
-                            wid, 0.0)
+                            wid, 0.0, 0.0)
                     continue
                 try:
                     result = detector.detect(frame)
                 except Exception as exc:
                     deliver(tag, "failed", None,
                             f"{type(exc).__name__}: {exc}", wid,
-                            time.perf_counter() - start)
+                            time.perf_counter() - start,
+                            time.thread_time() - cpu_start)
                 else:
                     deliver(tag, "ok", result, None, wid,
-                            time.perf_counter() - start)
+                            time.perf_counter() - start,
+                            time.thread_time() - cpu_start)
 
     def submit(self, tag: int, frame: np.ndarray) -> None:
         self._tasks.put([(tag, frame)])
@@ -231,7 +236,8 @@ class _ProcessBackend:
                 # no-silent-loss accounting stays frame-for-frame.
                 for tag, _ in task:
                     deliver(tag, "failed", None,
-                            f"{type(exc).__name__}: {exc}", None, 0.0)
+                            f"{type(exc).__name__}: {exc}", None,
+                            0.0, 0.0)
 
     def _receive(self, deliver: DeliverFn) -> None:
         while not self._stop.is_set():
@@ -240,12 +246,12 @@ class _ProcessBackend:
                 continue
             if message[0] == "result":
                 (_, _, tag, status, result, error,
-                 wid, busy_s, _) = message
+                 wid, busy_s, cpu_s, _) = message
             elif message[0] == "dead":
                 continue  # the pool marks itself broken; submits fail
             else:
                 continue
-            deliver(tag, status, result, error, wid, busy_s)
+            deliver(tag, status, result, error, wid, busy_s, cpu_s)
 
     def submit(self, tag: int, frame: np.ndarray) -> None:
         self._tasks.put([(tag, frame)])
@@ -884,20 +890,22 @@ class DetectionService:
 
     def _deliver(self, tag: int, status: str, result: Any,
                  error: str | None, worker: int | None,
-                 busy_s: float) -> None:
+                 busy_s: float, cpu_s: float) -> None:
         """Called from worker threads: bounce onto the event loop."""
         loop = self._loop
         if loop is None:
             return
         try:
             loop.call_soon_threadsafe(
-                self._on_result, tag, status, result, error, worker
+                self._on_result, tag, status, result, error, worker,
+                busy_s, cpu_s,
             )
         except RuntimeError:
             pass  # loop already closed during interpreter teardown
 
     def _on_result(self, tag: int, status: str, result: Any,
-                   error: str | None, worker: int | None) -> None:
+                   error: str | None, worker: int | None,
+                   busy_s: float, cpu_s: float) -> None:
         entry = self._tags.pop(tag, None)
         if entry is None:
             return
@@ -907,6 +915,8 @@ class DetectionService:
             self.telemetry.set_gauge(
                 "serve.inflight", float(sum(self._inflight.values()))
             )
+            self.telemetry.observe("serve.worker_busy_ms", busy_s * 1e3)
+            self.telemetry.observe("serve.worker_cpu_ms", cpu_s * 1e3)
         self._wake.set()
         if status == "ok" and result is not None:
             session._finish(

@@ -271,6 +271,7 @@ class StreamPipeline:
         self._latency = Histogram()
         self._depth = Histogram()
         self._busy_s = [0.0] * self.workers
+        self._cpu_s = [0.0] * self.workers
         self._elapsed_s = 0.0
 
     def report(self) -> StreamReport:
@@ -298,6 +299,7 @@ class StreamPipeline:
                 sum(self._busy_s) / (elapsed * self.workers)
                 if elapsed > 0 else 0.0
             ),
+            worker_cpu_s=sum(self._cpu_s),
         )
 
     # -- The pipeline -------------------------------------------------------
@@ -354,6 +356,7 @@ class StreamPipeline:
                     break
                 index, image, t0 = item
                 start = time.perf_counter()
+                cpu_start = time.thread_time()
                 try:
                     res = det.detect(image)
                     fr = FrameResult(
@@ -371,6 +374,7 @@ class StreamPipeline:
                         worker=wid,
                     )
                 self._busy_s[wid] += time.perf_counter() - start
+                self._cpu_s[wid] += time.thread_time() - cpu_start
                 out_q.put((t0, fr))
 
         # Process backend: a dispatcher thread moves frames from the
@@ -456,12 +460,13 @@ class StreamPipeline:
                     break
                 if kind != "result":
                     continue  # snapshot flushes belong to close()
-                _, gen, index, status, result, error, wid, busy_s, t0 = \
-                    message
+                (_, gen, index, status, result, error, wid, busy_s, cpu_s,
+                 t0) = message
                 if gen != generation:
                     continue  # stale result from an aborted earlier run
                 completed += 1
                 self._busy_s[wid] += busy_s
+                self._cpu_s[wid] += cpu_s
                 if status == "ok":
                     fr = FrameResult(
                         index=index,

@@ -144,6 +144,11 @@ class StreamReport:
     ``frames_in == frames_ok + frames_failed + frames_dropped`` for a
     run that drained completely; an aborted run (circuit breaker,
     consumer walked away) may leave frames unaccounted.
+
+    ``worker_cpu_s`` sums the CPU seconds the workers spent detecting,
+    next to the wall seconds behind ``worker_utilization``.  A process
+    worker counts its whole process (BLAS helper threads included), a
+    thread worker only its own thread.
     """
 
     frames_in: int
@@ -161,6 +166,7 @@ class StreamReport:
     queue_depth_mean: float
     worker_utilization: float
     backend: str = ExecutionBackend.THREAD.value
+    worker_cpu_s: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("frames_in", "frames_ok", "frames_failed",

@@ -273,6 +273,12 @@ NAMES: tuple[TelemetryName, ...] = (
                   "warm worker pools currently alive"),
     TelemetryName("serve.workers", "gauge",
                   "total detection workers across active pools"),
+    TelemetryName("serve.worker_busy_ms", "histogram",
+                  "wall time a detection worker spent per served frame"),
+    TelemetryName("serve.worker_cpu_ms", "histogram",
+                  "CPU time behind serve.worker_busy_ms (a process "
+                  "worker counts all its threads, a thread worker its "
+                  "own)"),
     TelemetryName("serve.ready", "gauge",
                   "1 while the service accepts sessions, 0 when draining "
                   "or stopped"),
@@ -302,6 +308,9 @@ NAMES: tuple[TelemetryName, ...] = (
                   "detection results that fell back to the pickle "
                   "channel (lane full, result too large, or not "
                   "lane-encodable)"),
+    TelemetryName("parallel.blas_threads", "gauge",
+                  "OpenBLAS thread count a worker process pinned itself "
+                  "to (absent when no OpenBLAS is loaded)"),
     TelemetryName("parallel.batches", "counter",
                   "multi-frame task messages sent to process workers "
                   "(each amortizes the per-message queue cost over its "

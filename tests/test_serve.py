@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import DetectorConfig, MultiScalePedestrianDetector
+from repro.detect.scoring import SCORERS
 from repro.errors import ParameterError, ServeError
 from repro.serve import (
     DetectionService,
@@ -32,6 +33,7 @@ from repro.serve import (
     render_prometheus,
     start_http_server,
 )
+from repro.serve.http import ServeApp
 from repro.serve.prometheus import escape_label
 from repro.stream import FrameStatus
 from repro.telemetry import MetricsRegistry
@@ -457,3 +459,75 @@ class TestHttpFrontEnd:
             )
             assert status == 404
             assert b"no such session" in body
+
+
+def _read_only(frame):
+    """The frame as the HTTP front end hands it on: a read-only view
+    of the request body's bytes."""
+    view = np.frombuffer(frame.tobytes(), dtype=frame.dtype)
+    return view.reshape(frame.shape)
+
+
+def _boxes(detections):
+    return [(d.top, d.left, d.height, d.width, d.scale, d.score)
+            for d in detections]
+
+
+class TestReadOnlyFrames:
+    """The server passes request bodies on without copying them, so
+    detection must give the same answer on a read-only frame."""
+
+    @pytest.fixture(scope="class")
+    def scene(self, tiny_dataset):
+        return tiny_dataset.make_scene(
+            240, 320, n_pedestrians=2, pedestrian_heights=(128, 160),
+            scene_index=0,
+        ).image
+
+    def test_decode_returns_a_read_only_view_of_the_body(self, scene):
+        body = scene.tobytes()
+        frame = ServeApp._decode_frame(
+            {"x-frame-shape": "240,320", "x-frame-dtype": "float64"}, body
+        )
+        assert not frame.flags.writeable
+        assert not frame.flags.owndata
+        np.testing.assert_array_equal(frame, scene)
+
+    @pytest.mark.parametrize("arena", [True, False])
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_detect_matches_writable_copy(self, trained_model, scene,
+                                          scorer, arena):
+        det = MultiScalePedestrianDetector(
+            trained_model,
+            DetectorConfig(scales=(1.0, 1.2), stride=1, threshold=0.0,
+                           scorer=scorer, arena=arena),
+        )
+        expected = _boxes(det.detect(scene.copy()).detections)
+        assert expected
+        frame = _read_only(scene)
+        assert _boxes(det.detect(frame).detections) == expected
+        assert not frame.flags.writeable
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_service_backends_match_writable_copy(self, trained_model,
+                                                  scene, backend):
+        det = MultiScalePedestrianDetector(
+            trained_model,
+            DetectorConfig(scales=(1.0, 1.2), stride=1, threshold=0.0,
+                           arena=True),
+        )
+        expected = _boxes(det.detect(scene.copy()).detections)
+
+        async def scenario():
+            service = DetectionService(det, workers=1, backend=backend)
+            await service.start()
+            try:
+                session = service.open_session()
+                await session.submit(_read_only(scene))
+                return await _drain(session, 1)
+            finally:
+                await service.shutdown()
+
+        (result,) = run(scenario())
+        assert result.status is FrameStatus.OK
+        assert _boxes(result.detections) == expected
