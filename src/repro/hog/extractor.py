@@ -151,7 +151,10 @@ class HogExtractor:
         Optional :class:`~repro.telemetry.MetricsRegistry`; when
         enabled, :meth:`extract` times the gradient / histogram /
         normalize sub-stages (the split the paper's cost argument is
-        about) under ``hog.*`` spans.
+        about) under ``hog.*`` spans, and counts the grid's all-+0.0
+        cell rows (``hog.flat_cell_rows``): the textureless bands whose
+        arithmetic the kernels skip, which is why such a frame is
+        cheap.
     arena:
         Optional :class:`~repro.arena.BufferArena`.  When set,
         :meth:`extract` writes the magnitude / orientation / cell /
@@ -220,6 +223,9 @@ class HogExtractor:
         if tm.enabled:
             tm.inc("hog.extractions")
             tm.inc("hog.pixels", int(gray.size))
+            row_bits = cells.reshape(len(cells), -1).view(np.uint64)
+            tm.inc("hog.flat_cell_rows",
+                   int(np.count_nonzero(row_bits.max(axis=1) == 0)))
         return HogFeatureGrid(cells=cells, blocks=blocks, params=self.params)
 
     def _cells_dest(

@@ -21,6 +21,12 @@ each cell row's pixel rows onto it and its two neighbours in one fixed
 order (:func:`_fold_strip`).  The result is therefore bitwise
 independent of the strip height, and bitwise equal with and without a
 :class:`~repro.arena.BufferArena`.
+
+A magnitude grid that is all +0.0 (a textureless frame) casts only
++0.0 votes, so its cells are filled with +0.0 without the votes, the
+scatter or the fold, provided every angle passes the range check
+(:func:`_orientation_in_range`).  Otherwise, and for a magnitude
+holding ``-0.0``, the normal path runs and raises as it always has.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.contracts import check_array
 from repro.errors import ParameterError, ShapeError
 from repro.hog.parameters import HogParameters
 from repro.imgproc.gradients import STRIP_PIXELS
+from repro.imgproc.validate import is_positive_zero
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
@@ -48,6 +55,23 @@ def _scratch(
     if arena is None:
         return np.empty(shape, dtype=dtype)
     return arena.get(name, shape, dtype)
+
+
+def _orientation_in_range(
+    orientation: np.ndarray, params: HogParameters
+) -> bool:
+    """True if every angle passes :func:`_orientation_votes`' range check.
+
+    Every step from angle to lower bin is monotone, so the smallest and
+    largest angles decide it.  NaN compares false, so an orientation
+    holding one reports False and is left to the full check.
+    """
+    bin_width = params.orientation_span / params.n_bins
+    extremes = np.array([orientation.min(), orientation.max()])
+    np.multiply(extremes, 1.0 / bin_width, out=extremes)
+    extremes -= 0.5
+    lo = np.floor(extremes)
+    return bool(lo[0] >= -1 and lo[1] <= params.n_bins - 1)
 
 
 def _orientation_votes(
@@ -284,6 +308,10 @@ def cell_histograms(
 
         check_out(out, "cell_histograms", (n_rows, n_cols, n_bins),
                   np.float64, mag, ori)
+    if is_positive_zero(mag) and _orientation_in_range(ori, params):
+        # Every vote would be +0.0, and so would every cell.
+        out.fill(0.0)
+        return out
 
     # Row strips of whole cell rows, in order.  Only one strip's vote,
     # scatter and fold temporaries are ever live, so the ~40 passes

@@ -5,6 +5,16 @@ stride by default) and each block's concatenated histogram is
 contrast-normalized to suppress local brightness and contrast
 variation.  L2-Hys — L2 normalization, clipping at 0.2, then
 renormalization — is the Dalal-Triggs default and what the paper uses.
+
+A cell grid that is all +0.0 (a textureless frame) makes every block
+the zero vector.  :func:`normalize_blocks` then normalizes one zero
+vector and fills the block grid with it, instead of grouping and
+normalizing every block.  Every block gets the bits the full pass would
+have given it: +0.0 for every
+:class:`~repro.hog.parameters.BlockNormalization` (unless
+``epsilon ** 2`` underflows, when the L2 forms give NaN both ways).
+The test compares bit patterns, so a grid holding ``-0.0`` takes the
+normal path.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import numpy as np
 from repro.contracts import check_array
 from repro.errors import ParameterError, ShapeError
 from repro.hog.parameters import BlockNormalization, HogParameters
+from repro.imgproc.validate import is_positive_zero
 
 
 def normalize_vector(
@@ -85,6 +96,25 @@ def normalize_vector(
     raise ParameterError(f"unsupported normalization: {method!r}")
 
 
+def _block_grid_shape(
+    cells: np.ndarray, params: HogParameters
+) -> tuple[int, int]:
+    """``(block_rows, block_cols)`` of a float64 cell grid, validated."""
+    if cells.ndim != 3 or cells.shape[2] != params.n_bins:
+        raise ShapeError(
+            f"cells must be (rows, cols, {params.n_bins}), got "
+            f"{cells.shape}"
+        )
+    n_rows, n_cols = params.block_grid_shape(cells.shape[0], cells.shape[1])
+    if n_rows == 0 or n_cols == 0:
+        bs = params.block_size
+        raise ShapeError(
+            f"cell grid {cells.shape[:2]} is smaller than one {bs}x{bs} "
+            "block"
+        )
+    return n_rows, n_cols
+
+
 def block_view(
     cells: np.ndarray,
     params: HogParameters,
@@ -113,17 +143,9 @@ def block_view(
     assumes.
     """
     c = np.asarray(cells, dtype=np.float64)
-    if c.ndim != 3 or c.shape[2] != params.n_bins:
-        raise ShapeError(
-            f"cells must be (rows, cols, {params.n_bins}), got {c.shape}"
-        )
+    n_rows, n_cols = _block_grid_shape(c, params)
     check_array(c, "cells", ndim=3, dtype=np.float64)
     bs, stride = params.block_size, params.block_stride
-    n_rows, n_cols = params.block_grid_shape(c.shape[0], c.shape[1])
-    if n_rows == 0 or n_cols == 0:
-        raise ShapeError(
-            f"cell grid {c.shape[:2]} is smaller than one {bs}x{bs} block"
-        )
     windows = np.lib.stride_tricks.sliding_window_view(c, (bs, bs), axis=(0, 1))
     # windows: (rows-bs+1, cols-bs+1, n_bins, bs, bs) -> stride and reorder
     windows = windows[::stride, ::stride]
@@ -154,9 +176,26 @@ def normalize_blocks(
 
     With ``out=`` the whole stage runs in a single preallocated buffer:
     the block view is copied into ``out`` and normalized in place
-    (bitwise identical to the allocating path).
+    (bitwise identical to the allocating path).  An all-+0.0 cell grid
+    skips both (module docstring).
     """
-    blocks = check_array(block_view(cells, params, out=out), "blocks",
+    c = np.asarray(cells, dtype=np.float64)
+    shape = (*_block_grid_shape(c, params), params.block_dim)
+    if is_positive_zero(c):
+        if out is None:
+            out = np.empty(shape)
+        else:
+            from repro.arena import check_out
+
+            check_out(out, "block_view", shape, np.float64, c)
+        out[...] = normalize_vector(
+            np.zeros(params.block_dim),
+            params.normalization,
+            epsilon=params.epsilon,
+            l2_hys_clip=params.l2_hys_clip,
+        )
+        return out
+    blocks = check_array(block_view(c, params, out=out), "blocks",
                          ndim=3, dtype=np.float64)
     return normalize_vector(
         blocks,

@@ -4,6 +4,15 @@ Implements the centered ``[-1, 0, 1]`` derivative mask that Dalal &
 Triggs found optimal for HOG, plus Sobel and Prewitt alternatives, and
 the conversion to polar form (magnitude ``m(x, y)`` and unsigned
 orientation ``theta(x, y)``, equations (1)-(2) of the paper).
+
+:func:`gradient_polar` streams the CENTERED mask through row strips.
+A strip whose derivatives ``fx`` and ``fy`` are all +0.0 (a textureless
+band: unlit road, fog, sky) skips the squares, ``sqrt``, ``arctan2``
+and the fold, and gets the +0.0 magnitude and orientation they would
+have produced: ``sqrt(+0 + +0) = +0`` and ``arctan2(+0, +0) = +0``,
+which the fold leaves alone.  The test compares bit patterns, so a
+strip holding ``-0.0`` takes the normal path, because ``arctan2(+0,
+-0) = pi``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 
 from repro.contracts import check_array
 from repro.errors import ParameterError
-from repro.imgproc.validate import ensure_grayscale
+from repro.imgproc.validate import ensure_grayscale, is_positive_zero
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
@@ -167,10 +176,12 @@ def gradient_polar(
     :data:`STRIP_PIXELS` pixels, the software counterpart of the
     paper's line buffers: only one strip of ``fx`` / ``fy`` derivative
     scratch is live, taken from the ``imgproc.fx`` / ``imgproc.fy``
-    slabs of ``arena`` when one is given.  The result is bitwise equal
-    to the :func:`gradient_xy`-based formula at any strip height, with
-    or without an arena.  SOBEL and PREWITT run :func:`gradient_xy`
-    over the whole frame.
+    slabs of ``arena`` when one is given.  A strip whose derivatives
+    are all +0.0 is filled with +0.0 without running equations (1)-(2)
+    (module docstring).  The result is bitwise equal to the
+    :func:`gradient_xy`-based formula at any strip height, with or
+    without an arena.  SOBEL and PREWITT run :func:`gradient_xy` over
+    the whole frame.
 
     Returns
     -------
@@ -217,6 +228,10 @@ def gradient_polar(
         r1 = min(r0 + strip, h)
         fx, fy = fx_strip[:r1 - r0], fy_strip[:r1 - r0]
         _centered_rows(gray, r0, r1, fx, fy)
-        _polar_into(fx, fy, out_magnitude[r0:r1], out_orientation[r0:r1],
-                    period)
+        if is_positive_zero(fx) and is_positive_zero(fy):
+            out_magnitude[r0:r1] = 0.0
+            out_orientation[r0:r1] = 0.0
+        else:
+            _polar_into(fx, fy, out_magnitude[r0:r1],
+                        out_orientation[r0:r1], period)
     return out_magnitude, out_orientation

@@ -172,6 +172,10 @@ NAMES: tuple[TelemetryName, ...] = (
                   "full-grid extraction passes"),
     TelemetryName("hog.pixels", "counter",
                   "pixels consumed by extraction passes"),
+    TelemetryName("hog.flat_cell_rows", "counter",
+                  "cell rows of extracted grids that are all +0.0 "
+                  "(textureless bands, which the extractor kernels "
+                  "skip or fill cheaply)"),
     # -- Feature scaling ----------------------------------------------------
     TelemetryName("scale.grid", "span",
                   "one feature-grid resampling pass (scaler or "
