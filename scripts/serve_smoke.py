@@ -12,14 +12,15 @@ a corrupt (all-NaN) frame — and asserts the serving contract:
   ``serve.*`` counters;
 * SIGINT produces a clean drain and exit code 0.
 
-The whole contract is exercised twice: once with the default
-one-task-per-frame, one-request-per-connection configuration, and once
-with ``--max-batch 4 --batch-window-ms 5 --keep-alive`` — where the
-metrics must additionally prove that at least one multi-frame batch
-was coalesced and that connections were reused (fewer connections than
-requests).  Batching and keep-alive are transport optimizations;
-everything the first scenario asserts must hold identically in the
-second.
+The whole contract is exercised three times: once with the default
+one-task-per-frame, one-request-per-connection configuration on worker
+threads; once with ``--max-batch 4 --batch-window-ms 5 --keep-alive``
+— where the metrics must additionally prove that at least one
+multi-frame batch was coalesced and that connections were reused
+(fewer connections than requests); and once with ``--backend process``,
+the shared-memory worker processes.  Batching, keep-alive and the
+backend are transport choices; everything the first scenario asserts
+must hold identically in the others.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/serve_smoke.py``
 """
@@ -51,6 +52,7 @@ SCENARIOS = (
     ("default", []),
     ("batched+keep-alive",
      ["--max-batch", "4", "--batch-window-ms", "5", "--keep-alive"]),
+    ("process", ["--backend", "process"]),
 )
 
 

@@ -10,7 +10,8 @@ session.  This rule finds blocking calls that are CFG-reachable inside
   friends, ``os.system``, ``select.select``);
 * blocking methods on objects the rule can trace to a blocking
   constructor — ``queue.Queue().get()``, ``socket`` I/O,
-  ``threading.Thread().join()``, ``ProcessWorkerPool`` transport calls;
+  ``threading.Thread().join()``, ``ProcessWorkerPool`` transport calls,
+  the ``close()`` that joins a ``ThreadExecutor`` or ``ProcessExecutor``;
 * methods of module-local classes whose bodies the rule has summarized
   as may-block (one level of bottom-up summaries: a class whose
   ``close()`` joins its worker threads makes every async
@@ -83,9 +84,8 @@ _KIND_METHODS: dict[str, frozenset[str]] = {
         "connect",
     }),
     "thread": frozenset({"join"}),
-    "pool": frozenset({
-        "submit", "submit_batch", "next_message", "close", "join",
-    }),
+    "pool": frozenset({"submit_batch", "next_message", "close", "join"}),
+    "executor": frozenset({"close"}),
 }
 
 
@@ -97,6 +97,8 @@ def _ctor_tags(call: ast.Call, imports: dict[str, str]) -> frozenset[str]:
     qualified = qualify(dotted, imports)
     if qualified.endswith("ProcessWorkerPool"):
         return frozenset({"pool"})
+    if qualified.endswith(("ThreadExecutor", "ProcessExecutor")):
+        return frozenset({"executor"})
     kind = _CTOR_KINDS.get(qualified)
     if kind is None:
         return frozenset()
@@ -342,7 +344,8 @@ def _blocking_reason(
                 return f"{cls}.{method}() may block"
         elif method in _KIND_METHODS.get(tag, frozenset()):
             noun = tag.replace("bounded-", "bounded ")
-            return f".{method}() on a {noun} blocks"
+            article = "an" if noun[0] in "aeiou" else "a"
+            return f".{method}() on {article} {noun} blocks"
     return None
 
 
@@ -351,8 +354,9 @@ class AsyncBlockingCallRule(Rule):
     name = "async-blocking-call"
     description = (
         "no blocking call (time.sleep, subprocess, blocking queue/"
-        "socket ops, thread joins, ProcessWorkerPool transport) may be "
-        "reachable inside an async def body; move it off-loop via "
+        "socket ops, thread joins, ProcessWorkerPool transport, "
+        "executor close) may be reachable inside an async def body; "
+        "move it off-loop via "
         "await asyncio.to_thread(...)"
     )
 

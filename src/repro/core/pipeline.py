@@ -213,11 +213,6 @@ class MultiScalePedestrianDetector:
                 f"detect_batch: {len(failures)}/{len(frames)} frames "
                 f"failed ({detail})"
             )
-        if len(results) != len(frames):
-            raise StreamError(
-                f"detect_batch: run aborted after {len(results)}/"
-                f"{len(frames)} frames"
-            )
         return [fr.result for fr in results]
 
     def score_window(self, window_image: np.ndarray) -> float:

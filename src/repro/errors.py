@@ -58,8 +58,9 @@ class ScheduleError(ReproError):
 class StreamError(ReproError):
     """The streaming pipeline could not continue.
 
-    Raised for misuse of a closed frame queue, a stalled stream, or —
-    via :class:`CircuitBreakerOpen` — a tripped failure circuit breaker.
+    Raised for misuse of a closed frame queue, a failed batch in
+    ``detect_batch``, or — via :class:`CircuitBreakerOpen` — a tripped
+    failure circuit breaker.
     Per-frame detection failures do *not* raise; they are isolated into
     ``FrameResult(status=FAILED)`` records.
     """

@@ -1,13 +1,18 @@
-"""Multiprocess execution backend for the streaming pipeline.
+"""The execution core of the stream pipeline and the service.
 
-The thread backend (`repro.stream`) scales only as far as NumPy's
-GIL-released inner loops allow; Python-level work — window bookkeeping,
-NMS, small-frame extraction — serializes.  This package is the
-process-pool escape hatch, modelled on the worker decomposition of the
+Every ``detect()`` the stream pipeline (:mod:`repro.stream`) or the
+service (:mod:`repro.serve`) runs goes through one executor contract,
+with a thread and a process implementation.  Threads scale only as far
+as NumPy's GIL-released inner loops allow; Python-level work — window
+bookkeeping, NMS, small-frame extraction — serializes.  The process
+pool is the escape hatch, modelled on the worker decomposition of the
 GPU pedestrian-detection line of work (Campmany et al. 2016, PAPERS.md):
 decouple the stages, give each worker a whole detector, and keep the
 frame transport cheap.
 
+:class:`ThreadExecutor` / :class:`ProcessExecutor`
+    One executor contract (:mod:`repro.parallel.executor`) over worker
+    threads or a warm :class:`ProcessWorkerPool`.
 :class:`DetectorSpec`
     The picklable detector hand-off (model weights + config) with a
     content hash, so workers warm-start once per process and cache by
@@ -20,9 +25,8 @@ frame transport cheap.
     memory, with only a tiny :class:`ResultHandle` crossing the queue.
 :class:`ProcessWorkerPool`
     Warm worker processes around :func:`repro.parallel.worker.worker_main`;
-    submits frames, yields result/snapshot messages, merges nothing
-    itself — the stream pipeline keeps ordering/fault semantics so the
-    thread and process backends behave identically.
+    takes frame batches, yields result/snapshot messages, merges
+    nothing itself.
 :func:`limit_blas_threads`
     Pins the OpenBLAS builds loaded in the calling process to a thread
     count.  Every pool worker pins itself to one thread, and so does
@@ -30,10 +34,10 @@ frame transport cheap.
     thread backend in its own process can call
     ``limit_blas_threads(1)`` too.
 
-Select it per-run with ``StreamPipeline(..., backend="process")`` or
-``repro-das stream --backend process``; see docs/STREAMING.md for
-when each backend wins, and docs/TELEMETRY.md for the ``parallel.*``
-keys.
+Select the process executor with ``backend="process"`` on
+``StreamPipeline``, ``DetectionService``, ``repro-das stream`` or
+``repro-das serve``; see docs/STREAMING.md for when each backend wins,
+and docs/TELEMETRY.md for the ``parallel.*`` keys.
 """
 
 from repro.parallel.spec import DetectorSpec
@@ -52,6 +56,7 @@ from repro.parallel.shm import (
     write_result_words,
 )
 from repro.parallel.pool import ProcessWorkerPool, default_start_method
+from repro.parallel.executor import ProcessExecutor, ThreadExecutor
 from repro.parallel.blas import limit_blas_threads
 
 __all__ = [
@@ -67,6 +72,8 @@ __all__ = [
     "encode_result",
     "write_result_words",
     "ProcessWorkerPool",
+    "ProcessExecutor",
+    "ThreadExecutor",
     "default_start_method",
     "limit_blas_threads",
 ]

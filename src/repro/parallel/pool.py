@@ -2,17 +2,17 @@
 
 :class:`ProcessWorkerPool` owns everything process-shaped about the
 parallel backend: the worker processes (started once, reused across
-runs), the shared-memory frame ring, and the task/result queues.  The
-streaming pipeline drives it through three calls — :meth:`submit`,
-:meth:`next_message`, :meth:`close` — and keeps all ordering, fault and
-backpressure semantics on its own side, which is what lets the thread
-and process backends share one collector implementation.
+runs), the shared-memory frame ring, and the task/result queues.
+:class:`~repro.parallel.executor.ProcessExecutor` drives it through
+three calls — :meth:`submit_batch`, :meth:`next_message`,
+:meth:`close` — for both the stream pipeline and the service, which
+keep all ordering, fault and backpressure semantics on their own side.
 
 Start method: ``fork`` where the platform offers it (cheapest warm
 start — the child inherits the imported NumPy), else ``spawn``; the
-``REPRO_MP_START`` environment variable overrides.  The pool is created
-*before* the pipeline starts its own producer/collector threads, so the
-fork-with-threads hazard does not arise from this package.
+``REPRO_MP_START`` environment variable overrides.  The stream
+pipeline builds its pool *before* it starts its own producer/intake
+threads, so the fork-with-threads hazard does not arise there.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class ProcessWorkerPool:
     slot_bytes:
         Slot capacity; defaults to the first submitted frame's size, so
         memory matches the workload.  Larger frames fall back to the
-        pickle channel (counted by the pipeline's
+        pickle channel (counted by the executor's
         ``parallel.frames_pickled``).
     result_slot_bytes:
         Capacity of one result-lane slot (the shared-memory return path
@@ -165,15 +165,6 @@ class ProcessWorkerPool:
         return (not self._broken and not self._closed
                 and all(p.is_alive() for p in self._procs))
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def mark_broken(self) -> None:
-        """Record that the pool can no longer be trusted (the pipeline
-        will close it and build a fresh one on the next run)."""
-        self._broken = True
-
     # -- Submission ---------------------------------------------------------
 
     def _ensure_ring(self, frame: np.ndarray) -> SharedFrameRing:
@@ -231,36 +222,6 @@ class ProcessWorkerPool:
                 )
         return ring.write(slot, frame), None, "shm"
 
-    def submit(
-        self,
-        generation: int,
-        index: int,
-        frame: np.ndarray,
-        t0: float,
-        timeout: float = _SUBMIT_TIMEOUT_S,
-    ) -> str:
-        """Queue one frame; returns the transport used, ``"shm"`` or
-        ``"pickle"``.
-        """
-        if self._closed:
-            raise ParallelError("submit() on a closed ProcessWorkerPool")
-        frame = np.asarray(frame)
-        ring = self._ensure_ring(frame)
-        deadline = time.perf_counter() + timeout
-        handle, payload, transport = self._stage_frame(ring, frame, deadline)
-        # Lend a result-lane slot (non-blocking: the lane is an
-        # opportunistic fast path, never backpressure — a frame without
-        # one just gets its result pickled).  Independent of the frame
-        # transport: an oversized pickled frame can still return its
-        # result through the lane.
-        rslot = ring.acquire_result() if ring.result_slots else None
-        if rslot is not None:
-            self._pending_results[(generation, index)] = rslot
-        self._task_q.put(
-            ("frame", generation, index, t0, handle, payload, rslot)
-        )
-        return transport
-
     def submit_batch(
         self,
         generation: int,
@@ -271,11 +232,15 @@ class ProcessWorkerPool:
 
         ``items`` is a list of ``(index, frame, t0)`` tuples; the whole
         batch travels as a single ``("batch", generation, entries)``
-        task and comes back as a single combined message (expanded by
-        :meth:`next_message` into the usual per-frame ``("result",
-        ...)`` tuples, so consumers are transport- and batch-agnostic).
-        Fault isolation stays per frame: a frame that fails inside the
-        batch fails alone.
+        task — the only task shape — and comes back as a single
+        combined message (expanded by :meth:`next_message` into
+        per-frame ``("result", ...)`` tuples, so consumers are
+        transport- and batch-agnostic).  Each frame is staged into a
+        ring slot or, when it outgrows the slot, pickled; a result-lane
+        slot is lent to it when one is free (the lane is an
+        opportunistic fast path, never backpressure).  Fault isolation
+        stays per frame: a frame that fails inside the batch fails
+        alone.
 
         Returns the per-frame transports, ``"shm"`` / ``"pickle"``, in
         item order.  All-or-nothing on failure: if staging any frame
@@ -323,7 +288,8 @@ class ProcessWorkerPool:
         for index, _, _, _, rslot in entries:
             if rslot is not None:
                 self._pending_results[(generation, index)] = rslot
-        self._batches += 1
+        if len(entries) > 1:
+            self._batches += 1
         self._task_q.put(("batch", generation, entries))
         return transports
 
@@ -347,9 +313,9 @@ class ProcessWorkerPool:
         :class:`~repro.detect.DetectionResult` before the message is
         returned, so callers always see the same tuple shape regardless
         of transport.  A worker's combined ``("batch_result", ...)``
-        reply is likewise expanded here into per-frame ``("result",
-        ...)`` tuples, returned one per call in batch order — consumers
-        never see batching on the result side.
+        reply is expanded here into per-frame ``("result", ...)``
+        tuples, returned one per call in batch order — consumers never
+        see batching on the result side.
         """
         if self._expanded:
             return self._expanded.popleft()
@@ -359,46 +325,43 @@ class ProcessWorkerPool:
             return None
         if message[0] == "dead":
             self._broken = True
-        elif message[0] == "result":
-            message = self._decode_result_message(message)
         elif message[0] == "batch_result":
             _, generation, worker_id, outcomes = message
             for index, status, reply, error, busy_s, cpu_s, t0 in outcomes:
-                self._expanded.append(self._decode_result_message(
-                    ("result", generation, index, status, reply,
+                self._expanded.append(
+                    ("result", generation, index, status,
+                     self._decode(generation, index, status, reply),
                      error, worker_id, busy_s, cpu_s, t0)
-                ))
+                )
             message = self._expanded.popleft()
         return message
 
-    def _decode_result_message(
-        self, message: tuple[Any, ...]
-    ) -> tuple[Any, ...]:
+    def _decode(self, generation: int, index: int, status: str,
+                reply: Any) -> Any:
         """Reclaim the frame's lent result slot; decode a lane result."""
-        _, generation, index, status, result, *_rest = message
         rslot = self._pending_results.pop((generation, index), None)
         try:
-            if isinstance(result, ResultHandle):
+            if isinstance(reply, ResultHandle):
                 if rslot is None or self._ring is None:
                     raise ParallelError(
                         f"worker returned a result-lane handle for frame "
                         f"{index} but no result slot was lent to it"
                     )
-                words = self._ring.read_result(rslot, result.n_words)
-                decoded = decode_result(words)
+                reply = decode_result(
+                    self._ring.read_result(rslot, reply.n_words)
+                )
                 self._results_shm += 1
-                message = message[:4] + (decoded,) + message[5:]
             elif status == "ok":
                 self._results_pickled += 1
+            return reply
         finally:
             if rslot is not None and self._ring is not None:
                 self._ring.release_result(rslot.slot)
-        return message
 
     def transport_counts(self) -> dict[str, int]:
         """Result-transport tallies so far: how many frame results came
         back through the shared-memory lane vs the pickle channel, and
-        how many batched task messages were dispatched.  Keys match the
+        how many multi-frame task messages were dispatched.  Keys match the
         telemetry counters ``parallel.results_shm`` /
         ``parallel.results_pickled`` / ``parallel.batches`` (failed
         frames carry no result and count toward neither transport)."""

@@ -17,7 +17,8 @@ segment:
 
 A frame larger than the slot size does not break the pipeline — the
 caller falls back to pickling that frame (see
-``ProcessWorkerPool.submit``), it just loses the zero-copy fast path.
+``ProcessWorkerPool.submit_batch``), it just loses the zero-copy fast
+path.
 
 Cleanup discipline: the parent owns the segment and is the only side
 that ever unlinks it.  Worker-side attachments deliberately suppress

@@ -17,11 +17,13 @@ Each worker pins BLAS to one thread before it builds the detector
 worker per core, is the unit of parallelism, and a second OpenBLAS
 thread would only spin on a core a sibling process needs.
 
-Fault isolation mirrors the thread backend exactly: a frame that makes
-``detect()`` raise produces a ``("result", ..., "failed", ...)`` message
-— never a dead worker.  On the terminal ``("stop",)`` task the worker
-replies with its telemetry snapshot (the parent merges it; see
-``MetricsRegistry.absorb_snapshot``) and exits cleanly.
+Each task is a ``("batch", generation, entries)`` of one or more frames,
+answered by one ``("batch_result", ...)`` message.  Fault isolation
+mirrors the thread executor exactly: a frame that makes ``detect()``
+raise comes back ``"failed"`` — never a dead worker.  On the terminal
+``("stop",)`` task the worker replies with its telemetry snapshot (the
+parent merges it; see ``MetricsRegistry.absorb_snapshot``) and exits
+cleanly.
 """
 
 from __future__ import annotations
@@ -74,8 +76,7 @@ def _serve_frame(
     """Detect one staged frame; returns its outcome tuple.
 
     ``(index, status, reply, error, busy_s, cpu_s, t0)`` — the
-    per-frame payload of both the single-frame ``("result", ...)``
-    message and the combined ``("batch_result", ...)`` message.
+    per-frame payload of the ``("batch_result", ...)`` message.
     ``busy_s`` is wall time; ``cpu_s`` is the process's CPU time over
     the same interval, every thread included, so a BLAS helper that
     spins shows as ``cpu_s`` above ``busy_s``.  The frame's ring
@@ -124,37 +125,24 @@ def worker_main(worker_id: int, spec_bytes: bytes,
     try:
         while True:
             task = task_queue.get()
-            kind = task[0]
-            if kind == "stop":
+            if task[0] == "stop":
                 result_queue.put(
                     ("snapshot", worker_id,
                      _snapshot_dict(detector, blas_threads))
                 )
                 break
-            if kind == "batch":
-                # N frames, one task message, one combined reply: the
-                # fixed per-message costs (queue pickling, pipe write,
-                # feeder-thread wakeups) are paid once per batch
-                # instead of once per frame.  Outcomes keep batch
-                # order; the parent expands them back into per-frame
-                # messages.
-                _, generation, entries = task
-                outcomes = [
-                    _serve_frame(detector, entry, free_queue)
-                    for entry in entries
-                ]
-                result_queue.put(
-                    ("batch_result", generation, worker_id, outcomes)
-                )
-                continue
-            _, generation, index, t0, handle, payload, rslot = task
-            outcome = _serve_frame(
-                detector, (index, t0, handle, payload, rslot), free_queue
-            )
-            index, status, reply, error, busy_s, cpu_s, t0 = outcome
+            # N frames, one task message, one combined reply: the
+            # fixed per-message costs (queue pickling, pipe write,
+            # feeder-thread wakeups) are paid once per batch instead of
+            # once per frame.  Outcomes keep batch order; the parent
+            # expands them back into per-frame messages.
+            _, generation, entries = task
+            outcomes = [
+                _serve_frame(detector, entry, free_queue)
+                for entry in entries
+            ]
             result_queue.put(
-                ("result", generation, index, status, reply, error,
-                 worker_id, busy_s, cpu_s, t0)
+                ("batch_result", generation, worker_id, outcomes)
             )
     finally:
         detach_all()

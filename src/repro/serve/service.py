@@ -34,11 +34,19 @@ Refusals are not silent: a refused frame consumes a sequence number and
 produces a ``DROPPED`` result, so a client that counts results can
 never deadlock waiting for a frame the service discarded.
 
+Execution
+---------
+Each pool is one of the executors of :mod:`repro.parallel.executor` —
+the same two :class:`~repro.stream.StreamPipeline` runs — and each
+session settles its frames in an
+:class:`~repro.stream.ledger.OrderedLedger`, the stream collector's
+reorder-and-account core.
+
 Threading contract
 ------------------
 The :class:`~repro.telemetry.MetricsRegistry` is not thread-safe, so
 every telemetry record and every piece of session state is touched only
-from the event-loop thread.  Worker threads hand results back through
+from the event-loop thread.  Executor threads hand results back through
 ``loop.call_soon_threadsafe`` — the one crossing point.
 """
 
@@ -47,16 +55,16 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-import queue
-import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
 from repro.errors import ParameterError, ServeError
+from repro.parallel.executor import ProcessExecutor, ThreadExecutor
 from repro.parallel.spec import DetectorSpec
 from repro.serve.types import ServeReport, SessionReport, SubmitTicket
+from repro.stream.ledger import OrderedLedger
 from repro.stream.types import (
     BackpressurePolicy,
     ExecutionBackend,
@@ -66,213 +74,8 @@ from repro.stream.types import (
 )
 from repro.telemetry import NULL_TELEMETRY, MetricsRegistry
 
-#: Seconds the process-backend receiver waits per poll for a result.
-_POLL_S = 0.05
-
-#: Seconds to wait for a worker thread to exit during close.
-_JOIN_TIMEOUT_S = 5.0
-
 #: Sentinel queued after the final result of a drained session.
 _DONE = object()
-
-#: A callable the backends use to hand one finished frame back to the
-#: event loop: ``(tag, status, result, error, worker, busy_s, cpu_s)``
-#: — the worker's wall and CPU seconds spent on the frame.
-DeliverFn = Callable[
-    [int, str, Any, "str | None", "int | None", float, float], None
-]
-
-
-class _ThreadBackend:
-    """Worker threads sharing the process, one private detector each.
-
-    Detectors are rebuilt from the spec with telemetry disabled — the
-    service's registry lives on the event-loop thread and worker-side
-    recording would race it (same reasoning as ``StreamPipeline``'s
-    thread backend).
-
-    One task-queue item is one *batch* — a list of ``(tag, frame)``
-    pairs one worker serves in order.  Fault isolation stays per frame
-    (each frame delivers its own outcome), matching the process
-    backend's batched contract.
-    """
-
-    kind = ExecutionBackend.THREAD
-
-    def __init__(self, spec: DetectorSpec, workers: int,
-                 max_batch: int = 1) -> None:
-        self.spec = spec
-        self.workers = workers
-        self.max_batch = max_batch
-        self._tasks: queue.Queue = queue.Queue()
-        self._threads: list[threading.Thread] = []
-
-    @property
-    def capacity(self) -> int:
-        """Frames worth keeping in flight: one batch per worker plus
-        hand-off headroom, scaled by the batch size so a batching pump
-        can still keep every worker busy."""
-        return (self.workers + 2) * self.max_batch
-
-    def start(self, deliver: DeliverFn) -> None:
-        quiet = DetectorSpec(
-            self.spec.weights, self.spec.bias,
-            dataclasses.replace(self.spec.config, telemetry=False),
-        )
-        for wid in range(self.workers):
-            thread = threading.Thread(
-                target=self._run, args=(wid, quiet, deliver),
-                name=f"serve-worker-{wid}", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _run(self, wid: int, spec: DetectorSpec,
-             deliver: DeliverFn) -> None:
-        startup_error: str | None = None
-        try:
-            detector = spec.build()
-        except Exception as exc:  # fail tasks, never kill the service
-            detector = None
-            startup_error = f"{type(exc).__name__}: {exc}"
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                break
-            for tag, frame in task:
-                start = time.perf_counter()
-                cpu_start = time.thread_time()
-                if detector is None:
-                    deliver(tag, "failed", None,
-                            f"worker failed to start: {startup_error}",
-                            wid, 0.0, 0.0)
-                    continue
-                try:
-                    result = detector.detect(frame)
-                except Exception as exc:
-                    deliver(tag, "failed", None,
-                            f"{type(exc).__name__}: {exc}", wid,
-                            time.perf_counter() - start,
-                            time.thread_time() - cpu_start)
-                else:
-                    deliver(tag, "ok", result, None, wid,
-                            time.perf_counter() - start,
-                            time.thread_time() - cpu_start)
-
-    def submit(self, tag: int, frame: np.ndarray) -> None:
-        self._tasks.put([(tag, frame)])
-
-    def submit_batch(
-        self, items: "list[tuple[int, np.ndarray]]"
-    ) -> None:
-        self._tasks.put(list(items))
-
-    def close(self) -> list:
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
-            thread.join(timeout=_JOIN_TIMEOUT_S)
-        self._threads.clear()
-        return []
-
-
-class _ProcessBackend:
-    """A warm :class:`~repro.parallel.ProcessWorkerPool` behind threads.
-
-    A dispatcher thread feeds the pool's shared-memory ring (its
-    ``submit`` may block briefly on a full ring) and a receiver thread
-    polls ``next_message`` — both so the event loop never blocks.
-    Worker telemetry snapshots come back from ``close`` for the service
-    to merge.
-    """
-
-    kind = ExecutionBackend.PROCESS
-
-    def __init__(self, spec: DetectorSpec, workers: int,
-                 start_method: str | None = None,
-                 max_batch: int = 1) -> None:
-        from repro.parallel.pool import ProcessWorkerPool
-
-        self.spec = spec
-        self.workers = workers
-        self.max_batch = max_batch
-        # The ring must hold a whole batch per worker plus headroom, or
-        # a full-size batch could block on slots its own batchmates
-        # hold (max_batch=1 keeps the pool's workers+2 default).
-        self._pool = ProcessWorkerPool(
-            spec, workers, start_method=start_method,
-            slots=(workers + 2) * max_batch,
-        )
-        self._tasks: queue.Queue = queue.Queue()
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-
-    @property
-    def capacity(self) -> int:
-        return (self.workers + 2) * self.max_batch
-
-    def start(self, deliver: DeliverFn) -> None:
-        for target, name in ((self._dispatch, "serve-dispatch"),
-                             (self._receive, "serve-receive")):
-            thread = threading.Thread(
-                target=target, args=(deliver,), name=name, daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _dispatch(self, deliver: DeliverFn) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                break
-            now = time.perf_counter()
-            try:
-                self._pool.submit_batch(
-                    0, [(tag, frame, now) for tag, frame in task]
-                )
-            except Exception as exc:
-                # submit_batch is all-or-nothing: nothing of the batch
-                # reached a worker, so every frame fails here and the
-                # no-silent-loss accounting stays frame-for-frame.
-                for tag, _ in task:
-                    deliver(tag, "failed", None,
-                            f"{type(exc).__name__}: {exc}", None,
-                            0.0, 0.0)
-
-    def _receive(self, deliver: DeliverFn) -> None:
-        while not self._stop.is_set():
-            message = self._pool.next_message(timeout=_POLL_S)
-            if message is None:
-                continue
-            if message[0] == "result":
-                (_, _, tag, status, result, error,
-                 wid, busy_s, cpu_s, _) = message
-            elif message[0] == "dead":
-                continue  # the pool marks itself broken; submits fail
-            else:
-                continue
-            deliver(tag, status, result, error, wid, busy_s, cpu_s)
-
-    def submit(self, tag: int, frame: np.ndarray) -> None:
-        self._tasks.put([(tag, frame)])
-
-    def submit_batch(
-        self, items: "list[tuple[int, np.ndarray]]"
-    ) -> None:
-        self._tasks.put(list(items))
-
-    def transport_counts(self) -> dict[str, int]:
-        """The pool's result-transport tallies (see
-        :meth:`~repro.parallel.ProcessWorkerPool.transport_counts`)."""
-        return self._pool.transport_counts()
-
-    def close(self) -> list:
-        self._tasks.put(None)
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=_JOIN_TIMEOUT_S)
-        self._threads.clear()
-        return self._pool.close()
 
 
 class ServeSession:
@@ -307,10 +110,8 @@ class ServeSession:
         self._service = service
         self._pool_key = pool_key
         self._next_seq = 0
-        self._emit_next = 0
-        self._pending = 0
         self._waiting: collections.deque = collections.deque()
-        self._reorder: dict[int, tuple] = {}
+        self._ledger = OrderedLedger()
         self._t0: dict[int, float] = {}
         self._out: asyncio.Queue = asyncio.Queue()
         self._space = asyncio.Event()
@@ -318,10 +119,9 @@ class ServeSession:
         self._drained = asyncio.Event()
         self._closed = False
         self._done = False
-        self._counts = {status: 0 for status in FrameStatus}
-        self._rejected = 0
-        self._evicted = 0
-        self._throttled = 0
+        self._dropped_as = dict.fromkeys(
+            ("rejected", "evicted", "throttled"), 0
+        )
 
     # -- submission ------------------------------------------------------
 
@@ -362,7 +162,7 @@ class ServeSession:
         if not service.ready:
             raise ServeError("service is draining; no new frames")
         if self.policy is BackpressurePolicy.BLOCK:
-            while self._pending >= self.max_pending and not self._closed:
+            while self.pending >= self.max_pending and not self._closed:
                 self._space.clear()
                 await self._space.wait()
             if self._closed:
@@ -370,37 +170,23 @@ class ServeSession:
         telemetry = service.telemetry
         seq = self._next_seq
         self._next_seq += 1
-        self._pending += 1
         self._t0[seq] = time.perf_counter()
         service._counts["submitted"] += 1
         if telemetry.enabled:
             telemetry.inc("serve.frames_submitted")
-            telemetry.observe("serve.queue_depth", float(self._pending))
+            telemetry.observe("serve.queue_depth", float(self.pending))
         if self._throttled_now():
-            self._throttled += 1
-            service._counts["throttled"] += 1
-            if telemetry.enabled:
-                telemetry.inc("serve.frames_throttled")
-            self._finish(seq, FrameStatus.DROPPED)
+            self._drop(seq, "throttled")
             return SubmitTicket(seq=seq, accepted=False,
                                 reason="throttled")
-        if self._pending > self.max_pending:
+        if self.pending > self.max_pending:
             if (self.policy is BackpressurePolicy.DROP_OLDEST
                     and self._waiting):
-                evicted_seq, _ = self._waiting.popleft()
-                self._evicted += 1
-                service._counts["evicted"] += 1
-                if telemetry.enabled:
-                    telemetry.inc("serve.frames_evicted")
-                self._finish(evicted_seq, FrameStatus.DROPPED)
+                self._drop(self._waiting.popleft()[0], "evicted")
             else:
                 # drop-newest, or drop-oldest with every pending frame
                 # already on a worker: refuse the newcomer.
-                self._rejected += 1
-                service._counts["rejected"] += 1
-                if telemetry.enabled:
-                    telemetry.inc("serve.frames_rejected")
-                self._finish(seq, FrameStatus.DROPPED)
+                self._drop(seq, "rejected")
                 return SubmitTicket(seq=seq, accepted=False,
                                     reason="saturated")
         self._waiting.append((seq, np.asarray(frame)))
@@ -460,7 +246,7 @@ class ServeSession:
     @property
     def pending(self) -> int:
         """Frames admitted but not yet emitted."""
-        return self._pending
+        return self._next_seq - self._ledger.next_seq
 
     # -- lifecycle -------------------------------------------------------
 
@@ -476,15 +262,9 @@ class ServeSession:
             self._closed = True
             self._space.set()  # release blocked submitters to the raise
             if not drain:
-                service = self._service
                 while self._waiting:
-                    seq, _ = self._waiting.popleft()
-                    self._evicted += 1
-                    service._counts["evicted"] += 1
-                    if service.telemetry.enabled:
-                        service.telemetry.inc("serve.frames_evicted")
-                    self._finish(seq, FrameStatus.DROPPED)
-            if self._pending == 0 and not self._drained.is_set():
+                    self._drop(self._waiting.popleft()[0], "evicted")
+            if self.pending == 0 and not self._drained.is_set():
                 self._drained.set()
                 self._out.put_nowait(_DONE)
         await self._drained.wait()
@@ -497,51 +277,47 @@ class ServeSession:
             policy=self.policy.value,
             max_pending=self.max_pending,
             submitted=self._next_seq,
-            ok=self._counts[FrameStatus.OK],
-            failed=self._counts[FrameStatus.FAILED],
-            dropped=self._counts[FrameStatus.DROPPED],
-            rejected=self._rejected,
-            evicted=self._evicted,
-            throttled=self._throttled,
+            ok=self._ledger.counts[FrameStatus.OK],
+            failed=self._ledger.counts[FrameStatus.FAILED],
+            dropped=self._ledger.counts[FrameStatus.DROPPED],
+            rejected=self._dropped_as["rejected"],
+            evicted=self._dropped_as["evicted"],
+            throttled=self._dropped_as["throttled"],
             pool=self._pool_key[:12],
         )
 
     # -- internals (event-loop thread only) ------------------------------
 
-    def _finish(self, seq: int, status: FrameStatus,
-                detections: tuple = (), result: Any = None,
+    def _drop(self, seq: int, reason: str) -> None:
+        """Settle frame ``seq`` as DROPPED, tallied under ``reason``:
+        ``"rejected"``, ``"evicted"`` or ``"throttled"``."""
+        self._dropped_as[reason] += 1
+        self._service._counts[reason] += 1
+        if self._service.telemetry.enabled:
+            self._service.telemetry.inc(f"serve.frames_{reason}")
+        self._finish(seq, FrameStatus.DROPPED)
+
+    def _finish(self, seq: int, status: FrameStatus | str,
+                result: Any = None,
                 error: str | None = None,
                 worker: int | None = None) -> None:
         """Record one frame's outcome and emit everything now in order."""
-        self._reorder[seq] = (status, detections, result, error, worker)
+        self._ledger.settle(seq, status, self._t0.pop(seq), result=result,
+                            error=error, worker=worker)
         service = self._service
         telemetry = service.telemetry
-        while self._emit_next in self._reorder:
-            entry = self._reorder.pop(self._emit_next)
-            status_i, detections_i, result_i, error_i, worker_i = entry
-            seq_i = self._emit_next
-            self._emit_next += 1
-            t0 = self._t0.pop(seq_i)
-            if status_i is FrameStatus.DROPPED:
-                latency_s = 0.0
-            else:
-                latency_s = time.perf_counter() - t0
-            frame_result = FrameResult(
-                index=seq_i, status=status_i, detections=detections_i,
-                result=result_i, error=error_i, latency_s=latency_s,
-                worker=worker_i,
-            )
-            self._counts[status_i] += 1
+        while (frame_result := self._ledger.pop()) is not None:
+            status_i = frame_result.status
             service._counts[status_i.value] += 1
             if telemetry.enabled:
                 telemetry.inc(f"serve.frames_{status_i.value}")
                 if status_i is not FrameStatus.DROPPED:
-                    telemetry.observe("serve.latency_ms", latency_s * 1e3)
-            self._pending -= 1
-            if self._pending < self.max_pending:
+                    telemetry.observe("serve.latency_ms",
+                                      frame_result.latency_s * 1e3)
+            if self.pending < self.max_pending:
                 self._space.set()
             self._out.put_nowait(frame_result)
-        if (self._closed and self._pending == 0
+        if (self._closed and self.pending == 0
                 and not self._drained.is_set()):
             self._drained.set()
             self._out.put_nowait(_DONE)
@@ -628,7 +404,6 @@ class DetectionService:
         )
         self.mp_start_method = mp_start_method
         self._pools: dict[str, Any] = {}
-        self._inflight: dict[str, int] = {}
         self._tags: dict[int, tuple[ServeSession, int, str]] = {}
         self._sessions: dict[str, ServeSession] = {}
         self._next_tag = 0
@@ -705,41 +480,15 @@ class DetectionService:
                 and all(not s._waiting for s in self._sessions.values())
             )
             self._settle_leftovers()
-            snapshots = []
             for pool in self._pools.values():
-                if telemetry.enabled and hasattr(pool, "transport_counts"):
-                    # Process backends tally which return path each
-                    # result took; fold the counts in before the pool
-                    # (and its tallies) are gone.
-                    counts = pool.transport_counts()
-                    if counts["results_shm"]:
-                        telemetry.inc(
-                            "parallel.results_shm", counts["results_shm"]
-                        )
-                    if counts["results_pickled"]:
-                        telemetry.inc(
-                            "parallel.results_pickled",
-                            counts["results_pickled"],
-                        )
-                    if counts.get("batches"):
-                        telemetry.inc(
-                            "parallel.batches", counts["batches"]
-                        )
                 # close() joins worker threads/processes (seconds under
                 # the join timeout) — off the loop, or every other
-                # connection stalls for the duration.
-                snapshots.extend(
-                    await asyncio.to_thread(pool.close) or []
-                )
+                # connection stalls for the duration.  It records into
+                # a private registry: this one is loop-only.
+                merged = MetricsRegistry(enabled=telemetry.enabled)
+                await asyncio.to_thread(pool.close, merged)
+                telemetry.absorb_snapshot(merged.snapshot())
             self._pools.clear()
-            self._inflight.clear()
-            if telemetry.enabled and snapshots:
-                for snapshot in snapshots:
-                    if snapshot is not None:
-                        telemetry.absorb_snapshot(snapshot)
-                telemetry.inc(
-                    "parallel.worker_snapshots_merged", len(snapshots)
-                )
             if telemetry.enabled:
                 telemetry.set_gauge("serve.pools_active", 0.0)
                 telemetry.set_gauge("serve.workers", 0.0)
@@ -762,21 +511,15 @@ class DetectionService:
         close applies to its backlog — which also releases any
         session drain still blocked on a wedged worker.
         """
-        telemetry = self.telemetry
         leftovers: list[tuple[ServeSession, int]] = [
             (session, seq) for session, seq, _ in self._tags.values()
         ]
         self._tags.clear()
         for session in self._sessions.values():
             while session._waiting:
-                seq, _ = session._waiting.popleft()
-                leftovers.append((session, seq))
+                leftovers.append((session, session._waiting.popleft()[0]))
         for session, seq in leftovers:
-            session._evicted += 1
-            self._counts["evicted"] += 1
-            if telemetry.enabled:
-                telemetry.inc("serve.frames_evicted")
-            session._finish(seq, FrameStatus.DROPPED)
+            session._drop(seq, "evicted")
         for session in list(self._sessions.values()):
             if session._closed:
                 self._on_session_closed(session)
@@ -867,16 +610,22 @@ class DetectionService:
         if telemetry.enabled:
             telemetry.inc("serve.pool_cache_misses")
         if self.backend is ExecutionBackend.PROCESS:
-            pool: Any = _ProcessBackend(
-                spec, self.workers, start_method=self.mp_start_method,
-                max_batch=self.max_batch,
+            pool: Any = ProcessExecutor(
+                spec, self.workers, max_batch=self.max_batch,
+                start_method=self.mp_start_method, name="serve",
             )
         else:
-            pool = _ThreadBackend(spec, self.workers,
-                                  max_batch=self.max_batch)
+            # Thread workers run with telemetry off: the service's
+            # registry lives on the event-loop thread.
+            quiet = DetectorSpec(
+                spec.weights, spec.bias,
+                dataclasses.replace(spec.config, telemetry=False),
+            )
+            pool = ThreadExecutor(quiet.build, self.workers,
+                                  max_batch=self.max_batch,
+                                  name="serve-worker")
         pool.start(self._deliver)
         self._pools[key] = pool
-        self._inflight[key] = 0
         self._pools_built += 1
         if telemetry.enabled:
             telemetry.set_gauge(
@@ -891,12 +640,9 @@ class DetectionService:
     def _deliver(self, tag: int, status: str, result: Any,
                  error: str | None, worker: int | None,
                  busy_s: float, cpu_s: float) -> None:
-        """Called from worker threads: bounce onto the event loop."""
-        loop = self._loop
-        if loop is None:
-            return
+        """Called from executor threads: bounce onto the event loop."""
         try:
-            loop.call_soon_threadsafe(
+            self._loop.call_soon_threadsafe(
                 self._on_result, tag, status, result, error, worker,
                 busy_s, cpu_s,
             )
@@ -909,26 +655,14 @@ class DetectionService:
         entry = self._tags.pop(tag, None)
         if entry is None:
             return
-        session, seq, key = entry
-        self._inflight[key] -= 1
+        session, seq, _ = entry
         if self.telemetry.enabled:
-            self.telemetry.set_gauge(
-                "serve.inflight", float(sum(self._inflight.values()))
-            )
+            self.telemetry.set_gauge("serve.inflight", float(len(self._tags)))
             self.telemetry.observe("serve.worker_busy_ms", busy_s * 1e3)
             self.telemetry.observe("serve.worker_cpu_ms", cpu_s * 1e3)
         self._wake.set()
-        if status == "ok" and result is not None:
-            session._finish(
-                seq, FrameStatus.OK,
-                detections=tuple(result.detections), result=result,
-                worker=worker,
-            )
-        else:
-            session._finish(
-                seq, FrameStatus.FAILED,
-                error=error or "unknown worker failure", worker=worker,
-            )
+        session._finish(seq, status, result=result, error=error,
+                        worker=worker)
 
     def _waiting_total(self) -> int:
         return sum(len(s._waiting) for s in self._sessions.values())
@@ -967,6 +701,9 @@ class DetectionService:
                     break
                 rotate = (rotate + 1) % len(sessions)
                 ordered = sessions[rotate:] + sessions[:rotate]
+                inflight = collections.Counter(
+                    key for _, _, key in self._tags.values()
+                )
                 batches: dict[str, list[tuple[int, np.ndarray]]] = {}
                 sweeping = True
                 while sweeping:
@@ -979,7 +716,7 @@ class DetectionService:
                         batch = batches.setdefault(key, [])
                         if len(batch) >= self.max_batch:
                             continue
-                        if self._inflight[key] + len(batch) >= pool.capacity:
+                        if inflight[key] + len(batch) >= pool.capacity:
                             continue
                         seq, frame = session._waiting.popleft()
                         tag = self._next_tag
@@ -990,7 +727,6 @@ class DetectionService:
                 for key, batch in batches.items():
                     if not batch:
                         continue
-                    self._inflight[key] += len(batch)
                     self._pools[key].submit_batch(batch)
                     progressed = True
                     if telemetry.enabled:
@@ -1001,7 +737,5 @@ class DetectionService:
                         if len(batch) > 1:
                             telemetry.inc("serve.batch.multi_frame")
                 if progressed and telemetry.enabled:
-                    telemetry.set_gauge(
-                        "serve.inflight",
-                        float(sum(self._inflight.values())),
-                    )
+                    telemetry.set_gauge("serve.inflight",
+                                        float(len(self._tags)))

@@ -5,9 +5,10 @@ The paper's claim is sustained real-time throughput on a *video stream*
 single-frame detector into a continuous stream consumer:
 
 :class:`StreamPipeline`
-    Bounded-queue producer / worker / collector pipeline around
-    :meth:`repro.core.MultiScalePedestrianDetector.detect` — N worker
-    threads, explicit backpressure (block / drop-oldest / drop-newest),
+    Bounded-queue producer / intake / collector pipeline around
+    :meth:`repro.core.MultiScalePedestrianDetector.detect` — N workers
+    on a :mod:`repro.parallel` executor, explicit backpressure
+    (block / drop-oldest / drop-newest),
     per-frame fault isolation with a consecutive-failure circuit
     breaker, and in-order emission so
     :class:`repro.das.IouTracker` can consume the stream directly.

@@ -10,14 +10,17 @@ PAPERS.md):
   :class:`~repro.stream.sources.FrameSource` into a
   :class:`~repro.stream.queues.BoundedFrameQueue` under an explicit
   backpressure policy;
-* **N worker** threads run the detector with per-frame fault isolation
-  — a corrupt frame becomes a ``FrameResult(status=FAILED)`` record,
-  never a dead stream;
+* an **intake** thread moves frames from that queue into an executor
+  (:mod:`repro.parallel.executor`) while fewer than its capacity are
+  in flight; the executor's workers run the detector with per-frame
+  fault isolation — a corrupt frame becomes a
+  ``FrameResult(status=FAILED)`` record, never a dead stream;
 * the **collector** (the caller's thread, inside :meth:`process`)
-  re-orders results by frame index before emission, so downstream
-  frame-order consumers (``das.tracking.IouTracker``) can read the
-  stream directly, and trips a configurable consecutive-failure
-  circuit breaker.
+  settles each outcome in an :class:`~repro.stream.ledger.OrderedLedger`,
+  which re-orders results by frame index before emission, so
+  downstream frame-order consumers (``das.tracking.IouTracker``) can
+  read the stream directly, and feeds a configurable
+  consecutive-failure circuit breaker.
 
 Threading notes.  Multi-worker mode clones the detector per worker
 (sharing the read-only SVM model but nothing mutable); per-stage
@@ -28,17 +31,19 @@ is recorded only from the producer and collector threads, each writing
 disjoint keys, so a plain :class:`~repro.telemetry.MetricsRegistry`
 stays safe without locking the hot path.
 
-Execution backends.  ``backend="thread"`` (default) runs the workers as
-threads as described above.  ``backend="process"`` swaps the worker
-threads for a warm :class:`~repro.parallel.ProcessWorkerPool`: a
-dispatcher thread feeds frames into shared-memory ring slots, worker
-*processes* detect, and a receiver thread converts their messages back
-into results for the same collector — so ordering, DROPPED-gapless
-emission, per-frame fault isolation and the circuit breaker are
-backend-independent by construction.  The pool outlives individual
-runs (worker warm start is paid once); call :meth:`close` — or use the
-pipeline as a context manager — to shut it down and merge the workers'
-telemetry snapshots into the parent registry.
+Execution backends.  ``backend="thread"`` (default) runs a
+:class:`~repro.parallel.ThreadExecutor`, one worker thread per
+``workers``, for the length of one run.  ``backend="process"`` runs a
+:class:`~repro.parallel.ProcessExecutor`: a warm
+:class:`~repro.parallel.ProcessWorkerPool` whose worker *processes*
+detect frames staged in shared-memory ring slots.  The service in
+:mod:`repro.serve` runs the same two executors and the same ledger, so
+ordering, DROPPED-gapless emission, per-frame fault isolation and the
+circuit breaker are backend-independent by construction.  The process
+pool outlives individual runs (worker warm start is paid once); call
+:meth:`close` — or use the pipeline as a context manager — to shut it
+down and merge the workers' telemetry snapshots into the parent
+registry.
 """
 
 from __future__ import annotations
@@ -50,13 +55,11 @@ import time
 from collections.abc import Iterable, Iterator
 from typing import Callable
 
-from repro.errors import (
-    CircuitBreakerOpen,
-    ParallelError,
-    ParameterError,
-    StreamError,
-)
-from repro.stream.queues import BoundedFrameQueue, CLOSED
+from repro.errors import CircuitBreakerOpen, ParameterError, StreamError
+from repro.parallel.executor import ProcessExecutor, ThreadExecutor
+from repro.parallel.spec import DetectorSpec
+from repro.stream.ledger import OrderedLedger
+from repro.stream.queues import BoundedFrameQueue
 from repro.stream.sources import FrameSource
 from repro.stream.types import (
     BackpressurePolicy,
@@ -68,15 +71,15 @@ from repro.stream.types import (
 )
 from repro.telemetry import Histogram, MetricsRegistry, NULL_TELEMETRY
 
-#: Seconds the collector waits on the result queue per poll; each
-#: timeout re-checks liveness so a wedged worker cannot hang the stream.
+#: Seconds the collector and intake threads wait per poll before
+#: re-checking whether the run ended.
 _POLL_S = 0.05
 
 #: Seconds to wait for threads on shutdown before giving up the join.
 _JOIN_TIMEOUT_S = 5.0
 
-#: Most frames the process-backend dispatcher coalesces into one
-#: submit_batch (further capped by the ring's slot budget, workers+2).
+#: Most frames the process-backend intake coalesces into one
+#: submit_batch (further capped by the executor's capacity, workers+2).
 _DISPATCH_BATCH_CAP = 4
 
 
@@ -101,7 +104,8 @@ class StreamPipeline:
         ``detector_factory`` instead for detector types that cannot be
         cloned that way.
     workers:
-        Detection threads.  NumPy releases the GIL inside the large
+        Detection workers: threads, or processes with
+        ``backend="process"``.  NumPy releases the GIL inside the large
         dot-products that dominate ``detect``, so modest thread counts
         raise throughput without processes.
     queue_size:
@@ -175,18 +179,17 @@ class StreamPipeline:
         self.max_consecutive_failures = max_consecutive_failures
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.mp_start_method = mp_start_method
-        self._pool = None
-        self._generation = 0
-        self._backend_error: str | None = None
+        self._executor: ProcessExecutor | None = None
         self._reset_stats()
 
-    # -- Worker detector construction ---------------------------------------
+    # -- Executor ------------------------------------------------------------
 
-    def _worker_detectors(self) -> list:
+    def _worker_build(self) -> Callable[[], object]:
+        """What each thread worker calls to get its detector."""
         if self.detector_factory is not None:
-            return [self.detector_factory() for _ in range(self.workers)]
+            return self.detector_factory
         if self.workers == 1:
-            return [self.detector]
+            return lambda: self.detector
         model = getattr(self.detector, "model", None)
         config = getattr(self.detector, "config", None)
         if model is None or config is None:
@@ -198,24 +201,22 @@ class StreamPipeline:
         # extractor/scaler state; per-stage telemetry is disabled on
         # clones because MetricsRegistry is not thread-safe.
         cfg = dataclasses.replace(config, telemetry=False)
-        return [type(self.detector)(model, cfg) for _ in range(self.workers)]
+        return lambda: type(self.detector)(model, cfg)
 
-    # -- Process-backend pool management ------------------------------------
-
-    def _ensure_pool(self):
-        """The warm worker pool, (re)built when absent or broken."""
-        from repro.parallel import DetectorSpec, ProcessWorkerPool
-
-        if self._pool is not None and not self._pool.healthy:
+    def _open_executor(self):
+        """This run's executor: fresh threads, or the warm process
+        pool (rebuilt when absent or broken)."""
+        if self.backend is ExecutionBackend.THREAD:
+            return ThreadExecutor(self._worker_build(), self.workers,
+                                  name="stream-worker")
+        if self._executor is not None and not self._executor.healthy:
             self.close()
-        if self._pool is None:
-            spec = DetectorSpec.from_detector(self.detector)
-            self._pool = ProcessWorkerPool(
-                spec, self.workers, start_method=self.mp_start_method
+        if self._executor is None:
+            self._executor = ProcessExecutor(
+                DetectorSpec.from_detector(self.detector), self.workers,
+                start_method=self.mp_start_method, name="stream",
             )
-            if self.telemetry.enabled:
-                self.telemetry.set_gauge("parallel.workers", self.workers)
-        return self._pool
+        return self._executor
 
     def close(self) -> None:
         """Shut the process-backend pool down (no-op for threads).
@@ -227,33 +228,9 @@ class StreamPipeline:
         worker processes.  Idempotent; the next process-backend run
         simply warm-starts a fresh pool.
         """
-        if self._pool is None:
-            return
-        if self.telemetry.enabled:
-            # Result-transport tallies live in the pool (it decodes the
-            # lane); fold them into the registry before the pool dies so
-            # profiles show which return path the results actually took.
-            counts = self._pool.transport_counts()
-            if counts["results_shm"]:
-                self.telemetry.inc(
-                    "parallel.results_shm", counts["results_shm"]
-                )
-            if counts["results_pickled"]:
-                self.telemetry.inc(
-                    "parallel.results_pickled", counts["results_pickled"]
-                )
-            if counts.get("batches"):
-                self.telemetry.inc(
-                    "parallel.batches", counts["batches"]
-                )
-        snapshots = self._pool.close()
-        self._pool = None
-        if self.telemetry.enabled and snapshots:
-            for snapshot in snapshots:
-                self.telemetry.absorb_snapshot(snapshot)
-            self.telemetry.inc(
-                "parallel.worker_snapshots_merged", len(snapshots)
-            )
+        if self._executor is not None:
+            self._executor.close(self.telemetry)
+            self._executor = None
 
     def __enter__(self) -> "StreamPipeline":
         return self
@@ -265,9 +242,7 @@ class StreamPipeline:
 
     def _reset_stats(self) -> None:
         self._frames_in = 0
-        self._frames_ok = 0
-        self._frames_failed = 0
-        self._frames_dropped = 0
+        self._ledger = OrderedLedger()
         self._latency = Histogram()
         self._depth = Histogram()
         self._busy_s = [0.0] * self.workers
@@ -279,12 +254,13 @@ class StreamPipeline:
         lat = self._latency.summary()
         depth = self._depth.summary()
         elapsed = self._elapsed_s
-        emitted = self._frames_ok + self._frames_failed + self._frames_dropped
+        counts = self._ledger.counts
+        emitted = sum(counts.values())
         return StreamReport(
             frames_in=self._frames_in,
-            frames_ok=self._frames_ok,
-            frames_failed=self._frames_failed,
-            frames_dropped=self._frames_dropped,
+            frames_ok=counts[FrameStatus.OK],
+            frames_failed=counts[FrameStatus.FAILED],
+            frames_dropped=counts[FrameStatus.DROPPED],
             workers=self.workers,
             policy=self.policy.value,
             backend=self.backend.value,
@@ -307,7 +283,7 @@ class StreamPipeline:
     def process(self, source: FrameSource) -> Iterator[FrameResult]:
         """Yield one :class:`FrameResult` per frame, in frame-index order.
 
-        The generator owns the producer/worker threads: exhausting it
+        The generator owns the producer/intake threads: exhausting it
         (or closing it early with ``break``) always shuts the pipeline
         down and joins the threads.  Raises
         :class:`~repro.errors.CircuitBreakerOpen` after emitting the
@@ -315,10 +291,29 @@ class StreamPipeline:
         """
         self._reset_stats()
         tm = self.telemetry
+        ledger = self._ledger
+        # Built (or reused) before any thread of ours starts: with the
+        # fork start method, forking from a single-threaded parent is
+        # the safe order.
+        executor = self._open_executor()
         in_q = BoundedFrameQueue(self.queue_size, self.policy)
-        out_q: _queue.Queue = _queue.Queue()
+        settled: _queue.Queue = _queue.Queue()
+        room = threading.Semaphore(executor.capacity)
+        t0s: dict[int, float] = {}
         abort = threading.Event()
         producer_done = threading.Event()
+        # Thread workers take one frame per task, so no thread idles
+        # while another holds a batch; process tasks coalesce whatever
+        # backlog is already queued into one message.
+        batch_cap = (min(_DISPATCH_BATCH_CAP, self.workers + 2)
+                     if self.backend is ExecutionBackend.PROCESS else 1)
+
+        def deliver(tag, status, result, error, worker, busy_s, cpu_s):
+            if worker is not None:
+                self._busy_s[worker] += busy_s
+                self._cpu_s[worker] += cpu_s
+            settled.put((tag, t0s.pop(tag), status, result, error, worker))
+            room.release()
 
         def produce() -> None:
             count = 0
@@ -337,11 +332,8 @@ class StreamPipeline:
                     except StreamError:
                         break  # queue closed under us: consumer aborted
                     if displaced is not None:
-                        d_index, _, d_t0 = displaced
-                        out_q.put(
-                            (d_t0, FrameResult(index=d_index,
-                                               status=FrameStatus.DROPPED))
-                        )
+                        settled.put((displaced[0], None, "dropped", None,
+                                     None, None))
                     self._depth.observe(in_q.depth)
                     if tm.enabled:
                         tm.observe("stream.queue_depth", in_q.depth)
@@ -349,211 +341,51 @@ class StreamPipeline:
                 producer_done.set()
                 in_q.close()
 
-        def work(wid: int, det) -> None:
+        def intake() -> None:
+            # Moves frames from the policy queue into the executor while
+            # fewer than its capacity are in flight.
             while True:
-                item = in_q.get()
-                if item is CLOSED:
-                    break
-                index, image, t0 = item
-                start = time.perf_counter()
-                cpu_start = time.thread_time()
-                try:
-                    res = det.detect(image)
-                    fr = FrameResult(
-                        index=index,
-                        status=FrameStatus.OK,
-                        detections=tuple(res.detections),
-                        result=res,
-                        worker=wid,
-                    )
-                except Exception as exc:  # per-frame fault isolation
-                    fr = FrameResult(
-                        index=index,
-                        status=FrameStatus.FAILED,
-                        error=f"{type(exc).__name__}: {exc}",
-                        worker=wid,
-                    )
-                self._busy_s[wid] += time.perf_counter() - start
-                self._cpu_s[wid] += time.thread_time() - cpu_start
-                out_q.put((t0, fr))
-
-        # Process backend: a dispatcher thread moves frames from the
-        # bounded intake queue into the pool's shared-memory ring and a
-        # receiver thread converts worker messages back into results —
-        # the collector below is backend-agnostic.
-        self._backend_error = None
-        self._generation += 1
-        generation = self._generation
-        dispatch_done = threading.Event()
-        self._dispatched = 0
-
-        # Opportunistic coalescing: each queue visit takes whatever
-        # backlog is already there (up to the ring's slot budget) and
-        # ships it as one submit_batch — one task message instead of
-        # one per frame when the intake runs ahead of the workers, and
-        # plain per-frame dispatch (batches of 1) when frames trickle.
-        dispatch_batch = min(_DISPATCH_BATCH_CAP, self.workers + 2)
-
-        def dispatch(pool) -> None:
-            batch: list = []
-            try:
-                while True:
-                    batch = in_q.get_many(dispatch_batch)
-                    if not batch:
-                        break
-                    if len(batch) == 1:
-                        index, image, t0 = batch[0]
-                        transports = [
-                            pool.submit(generation, index, image, t0)
-                        ]
-                    else:
-                        transports = pool.submit_batch(
-                            generation,
-                            [(index, image, t0)
-                             for index, image, t0 in batch],
-                        )
-                    self._dispatched += len(batch)
-                    batch = []
-                    if tm.enabled:
-                        for transport in transports:
-                            tm.inc("parallel.frames_shm"
-                                   if transport == "shm"
-                                   else "parallel.frames_pickled")
-            except ParallelError as exc:
-                self._backend_error = str(exc)
-                pool.mark_broken()
-                abort.set()
-                # Account for every frame this abort throws away — the
-                # batch whose dispatch failed (submit_batch is
-                # all-or-nothing, so none of it reached a worker) plus
-                # the drained backlog: each becomes a DROPPED record
-                # for the collector, keeping frames_in == ok + failed +
-                # dropped even on abort.
-                undispatched = list(batch)
-                undispatched.extend(in_q.close(drain=True))
-                for d_index, _, d_t0 in undispatched:
-                    out_q.put(
-                        (d_t0, FrameResult(index=d_index,
-                                           status=FrameStatus.DROPPED))
-                    )
-            finally:
-                dispatch_done.set()
-
-        def receive(pool) -> None:
-            completed = 0
-            while True:
-                if dispatch_done.is_set() and completed >= self._dispatched:
-                    break
-                message = pool.next_message(timeout=_POLL_S)
-                if message is None:
-                    if not pool.healthy:
-                        self._backend_error = (
-                            self._backend_error
-                            or "worker pool lost its processes"
-                        )
-                        break
-                    continue
-                kind = message[0]
-                if kind == "dead":
-                    self._backend_error = f"worker failed to start: " \
-                                          f"{message[2]}"
-                    break
-                if kind != "result":
-                    continue  # snapshot flushes belong to close()
-                (_, gen, index, status, result, error, wid, busy_s, cpu_s,
-                 t0) = message
-                if gen != generation:
-                    continue  # stale result from an aborted earlier run
-                completed += 1
-                self._busy_s[wid] += busy_s
-                self._cpu_s[wid] += cpu_s
-                if status == "ok":
-                    fr = FrameResult(
-                        index=index,
-                        status=FrameStatus.OK,
-                        detections=tuple(result.detections),
-                        result=result,
-                        worker=wid,
-                    )
-                else:
-                    fr = FrameResult(
-                        index=index,
-                        status=FrameStatus.FAILED,
-                        error=error,
-                        worker=wid,
-                    )
-                out_q.put((t0, fr))
-
-        threads = [threading.Thread(target=produce, name="stream-producer",
-                                    daemon=True)]
-        if self.backend is ExecutionBackend.PROCESS:
-            # Build (or reuse) the pool before starting any thread of
-            # our own: with the fork start method, forking from a
-            # single-threaded parent is the safe order.
-            pool = self._ensure_pool()
-            threads.append(
-                threading.Thread(target=dispatch, args=(pool,),
-                                 name="stream-dispatch", daemon=True)
-            )
-            threads.append(
-                threading.Thread(target=receive, args=(pool,),
-                                 name="stream-receive", daemon=True)
-            )
-        else:
-            for wid, det in enumerate(self._worker_detectors()):
-                threads.append(
-                    threading.Thread(target=work, args=(wid, det),
-                                     name=f"stream-worker-{wid}",
-                                     daemon=True)
+                while not room.acquire(timeout=_POLL_S):
+                    if abort.is_set():
+                        return
+                taken = 1
+                while taken < batch_cap and room.acquire(blocking=False):
+                    taken += 1
+                batch = in_q.get_many(taken)
+                for _ in range(taken - len(batch)):
+                    room.release()
+                if not batch:
+                    return
+                for index, _, t0 in batch:
+                    t0s[index] = t0
+                executor.submit_batch(
+                    [(index, image) for index, image, _ in batch]
                 )
 
+        executor.start(deliver)
+        threads = [
+            threading.Thread(target=produce, name="stream-producer",
+                             daemon=True),
+            threading.Thread(target=intake, name="stream-intake",
+                             daemon=True),
+        ]
         start_time = time.perf_counter()
-        pending: dict[int, tuple[float, FrameResult]] = {}
-        received = 0
-        emit_next = 0
-        streak = 0
         try:
             for t in threads:
                 t.start()
-            while True:
-                if (producer_done.is_set() and received == self._frames_in
-                        and not pending):
-                    break
+            while not (producer_done.is_set()
+                       and ledger.next_seq == self._frames_in):
                 try:
-                    t0, fr = out_q.get(timeout=_POLL_S)
+                    index, t0, status, result, error, worker = settled.get(
+                        timeout=_POLL_S
+                    )
                 except _queue.Empty:
-                    if (producer_done.is_set() and out_q.empty()
-                            and not any(t.is_alive() for t in threads[1:])):
-                        if received == self._frames_in and not pending:
-                            break
-                        detail = (
-                            f"; backend error: {self._backend_error}"
-                            if self._backend_error else ""
-                        )
-                        raise StreamError(
-                            f"stream stalled: {received} of "
-                            f"{self._frames_in} results arrived and all "
-                            f"workers exited{detail}"
-                        )
                     continue
-                received += 1
-                pending[fr.index] = (t0, fr)
-                while emit_next in pending:
-                    t0, fr = pending.pop(emit_next)
-                    emit_next += 1
+                ledger.settle(index, status, t0, result=result, error=error,
+                              worker=worker)
+                while (fr := ledger.pop()) is not None:
                     if fr.status is not FrameStatus.DROPPED:
-                        fr = dataclasses.replace(
-                            fr, latency_s=time.perf_counter() - t0
-                        )
                         self._latency.observe(fr.latency_s)
-                    if fr.status is FrameStatus.OK:
-                        self._frames_ok += 1
-                        streak = 0
-                    elif fr.status is FrameStatus.FAILED:
-                        self._frames_failed += 1
-                        streak += 1
-                    else:
-                        self._frames_dropped += 1
                     if tm.enabled:
                         tm.inc(f"stream.frames_{fr.status.value}")
                         if fr.status is not FrameStatus.DROPPED:
@@ -561,40 +393,39 @@ class StreamPipeline:
                                        fr.latency_s * 1e3)
                     yield fr
                     if (self.max_consecutive_failures is not None
-                            and streak >= self.max_consecutive_failures):
+                            and ledger.streak
+                            >= self.max_consecutive_failures):
                         raise CircuitBreakerOpen(
-                            f"{streak} consecutive frames failed "
+                            f"{ledger.streak} consecutive frames failed "
                             f"(limit {self.max_consecutive_failures}); "
                             f"last error: {fr.error}"
                         )
         finally:
             abort.set()
-            # An early exit (circuit breaker, caller break) leaves a
-            # backlog; the generator is past yielding, so the discarded
-            # frames are counted straight into the dropped tally rather
-            # than vanishing from the report's reconciliation.
-            discarded = in_q.close(drain=True)
-            if discarded:
-                self._frames_dropped += len(discarded)
-                if tm.enabled:
-                    tm.inc(
-                        f"stream.frames_{FrameStatus.DROPPED.value}",
-                        len(discarded),
-                    )
+            in_q.close(drain=True)
             for t in threads:
                 t.join(timeout=_JOIN_TIMEOUT_S)
+            if self.backend is ExecutionBackend.THREAD:
+                executor.close()
+            # An early exit (circuit breaker, caller break) leaves frames
+            # queued, in flight or awaiting reorder; the generator is
+            # past yielding, so they are counted straight into the
+            # dropped tally rather than vanishing from the report's
+            # reconciliation.
+            abandoned = self._frames_in - ledger.next_seq
+            if abandoned > 0:
+                ledger.counts[FrameStatus.DROPPED] += abandoned
+                if tm.enabled:
+                    tm.inc(f"stream.frames_{FrameStatus.DROPPED.value}",
+                           abandoned)
             self._elapsed_s = time.perf_counter() - start_time
-            self._finalize_telemetry(in_q)
-
-    def _finalize_telemetry(self, in_q: BoundedFrameQueue) -> None:
-        tm = self.telemetry
-        if not tm.enabled:
-            return
-        report = self.report()
-        tm.set_gauge("stream.workers", self.workers)
-        tm.set_gauge("stream.achieved_fps", report.achieved_fps)
-        tm.set_gauge("stream.worker_utilization", report.worker_utilization)
-        tm.set_gauge("stream.queue_depth_max", in_q.depth_peak)
+            if tm.enabled:
+                report = self.report()
+                tm.set_gauge("stream.workers", self.workers)
+                tm.set_gauge("stream.achieved_fps", report.achieved_fps)
+                tm.set_gauge("stream.worker_utilization",
+                             report.worker_utilization)
+                tm.set_gauge("stream.queue_depth_max", in_q.depth_peak)
 
     def run(
         self,

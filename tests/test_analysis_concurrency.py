@@ -157,6 +157,38 @@ class TestAsyncBlockingCall:
         )
         assert lint_snippet(tmp_path, self.RULE, src) == []
 
+    EXECUTOR_SHAPE = """
+        import asyncio
+
+        from repro.parallel import ProcessExecutor, ThreadExecutor
+
+        class Service:
+            def __init__(self, spec, process):
+                self._pools = {{}}
+                if process:
+                    pool = ProcessExecutor(spec, 1)
+                else:
+                    pool = ThreadExecutor(spec.build, 1)
+                self._pools["k"] = pool
+
+            async def shutdown(self, merged):
+                for pool in self._pools.values():
+                    {call}
+    """
+
+    def test_executor_close_is_flagged(self, tmp_path):
+        # The executors live in another module, so no class summary
+        # covers them: their close() is known to join by name.
+        src = self.EXECUTOR_SHAPE.format(call="pool.close(merged)")
+        (finding,) = lint_snippet(tmp_path, self.RULE, src)
+        assert ".close() on an executor" in finding.message
+
+    def test_executor_close_off_loop_is_clean(self, tmp_path):
+        src = self.EXECUTOR_SHAPE.format(
+            call="await asyncio.to_thread(pool.close, merged)"
+        )
+        assert lint_snippet(tmp_path, self.RULE, src) == []
+
 
 class TestLockHeldAcrossAwait:
     RULE = "lock-held-across-await"

@@ -142,8 +142,9 @@ class TestWorkerPin:
         pool = ProcessWorkerPool(DetectorSpec.from_detector(det),
                                  workers=1, start_method=start_method)
         try:
-            pool.submit(0, 0, np.random.default_rng(3).random((160, 160)),
-                        0.0)
+            pool.submit_batch(
+                0, [(0, np.random.default_rng(3).random((160, 160)), 0.0)]
+            )
             msg = None
             while msg is None or msg[0] != "result":
                 msg = pool.next_message(timeout=60.0)

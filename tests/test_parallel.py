@@ -255,7 +255,8 @@ class TestProcessWorkerPool:
             DetectorSpec.from_detector(detector), workers=2
         ) as pool:
             for i, frame in enumerate(frames):
-                assert pool.submit(0, i, frame, 0.0) in ("shm", "pickle")
+                (transport,) = pool.submit_batch(0, [(i, frame, 0.0)])
+                assert transport in ("shm", "pickle")
             got = {}
             while len(got) < len(frames):
                 msg = pool.next_message(timeout=60.0)
@@ -280,8 +281,8 @@ class TestProcessWorkerPool:
         ) as pool:
             # slot_bytes sizes lazily from the first frame; the larger
             # one cannot fit and must take the pickle channel.
-            assert pool.submit(0, 0, small, 0.0) == "shm"
-            assert pool.submit(0, 1, big, 0.0) == "pickle"
+            assert pool.submit_batch(0, [(0, small, 0.0)]) == ["shm"]
+            assert pool.submit_batch(0, [(1, big, 0.0)]) == ["pickle"]
             seen = set()
             while len(seen) < 2:
                 msg = pool.next_message(timeout=60.0)
@@ -298,7 +299,7 @@ class TestProcessWorkerPool:
         pool = ProcessWorkerPool(DetectorSpec.from_detector(det), workers=2)
         frame = np.random.default_rng(2).random((160, 160))
         for i in range(3):
-            pool.submit(0, i, frame, 0.0)
+            pool.submit_batch(0, [(i, frame, 0.0)])
         done = 0
         while done < 3:
             msg = pool.next_message(timeout=60.0)
@@ -424,7 +425,7 @@ class TestResultLane:
             DetectorSpec.from_detector(detector), workers=1
         ) as pool:
             for i, frame in enumerate(frames):
-                pool.submit(0, i, frame, 0.0)
+                pool.submit_batch(0, [(i, frame, 0.0)])
             got = {}
             while len(got) < len(frames):
                 msg = pool.next_message(timeout=60.0)
@@ -446,7 +447,7 @@ class TestResultLane:
             DetectorSpec.from_detector(detector), workers=1,
             result_slot_bytes=0,
         ) as pool:
-            pool.submit(0, 0, frame, 0.0)
+            pool.submit_batch(0, [(0, frame, 0.0)])
             msg = None
             while msg is None or msg[0] != "result":
                 msg = pool.next_message(timeout=60.0)
@@ -464,7 +465,7 @@ class TestResultLane:
             DetectorSpec.from_detector(detector), workers=1,
             result_slot_bytes=8,
         ) as pool:
-            pool.submit(0, 0, frame, 0.0)
+            pool.submit_batch(0, [(0, frame, 0.0)])
             msg = None
             while msg is None or msg[0] != "result":
                 msg = pool.next_message(timeout=60.0)

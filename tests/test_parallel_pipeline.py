@@ -65,12 +65,12 @@ class TestBackendParity:
     def test_warm_pool_is_reused_across_runs(self, detector):
         with StreamPipeline(detector, workers=2, backend="process") as p:
             first = p.run(_video(n=4, corrupt=()))
-            pool = p._pool
+            pool = p._executor
             assert pool is not None and pool.healthy
             second = p.run(_video(n=4, corrupt=()))
-            assert p._pool is pool  # same warm pool, no rebuild
+            assert p._executor is pool  # same warm pool, no rebuild
         assert _signature(first.results) == _signature(second.results)
-        assert p._pool is None  # context exit closed it
+        assert p._executor is None  # context exit closed it
 
     def test_worker_telemetry_merges_at_close(self, trained_model):
         registry = MetricsRegistry()
