@@ -6,20 +6,15 @@ Paper claims, all at 125 MHz on HDTV (1080x1920):
 * one window result every 36 cycles after a 288-cycle fill;
 * 60 fps at two scales (16.6 ms frame interval, extractor-paced).
 
-This bench regenerates each number from the analytic timing model and
-also measures the *software* pipeline's stage split on a real frame to
-demonstrate the claim the hardware design rests on: histogram
-generation dominates, so a feature pyramid amortizes the expensive
-stage while an image pyramid repeats it.
+This bench regenerates each number from the analytic timing model.
+The software pipeline's throughput is measured by ``perfbench/`` (see
+``perfbench/README.md``), on the workloads ``BENCHMARK.json`` declares.
 """
 
-import numpy as np
-
-from repro.detect import SlidingWindowDetector
 from repro.eval.report import format_table
 from repro.hardware import FrameTimingModel
 
-from conftest import emit, emit_snapshot
+from conftest import emit
 
 
 def test_hardware_timing_claims(benchmark, results_dir):
@@ -52,70 +47,3 @@ def test_hardware_timing_claims(benchmark, results_dir):
     assert report.frames_per_second > 60.0
     assert report.meets_rate(60.0)
 
-
-def test_software_stage_split(benchmark, trained_bench_model, results_dir,
-                              telemetry_registry):
-    """Feature-pyramid vs image-pyramid wall-clock on a real frame.
-
-    The *shape* claim: the image pyramid's cost grows with the scale
-    count (it repeats extraction), the feature pyramid's extraction cost
-    does not.  The feature-pyramid runs are additionally profiled with
-    the telemetry layer; the sub-stage snapshot is persisted as
-    ``throughput_sw_telemetry.json`` (the source of the measured column
-    in docs/PERFORMANCE.md).
-    """
-    model, extractor = trained_bench_model
-    frame = np.random.default_rng(0).random((480, 640))
-    scales = [1.0, 1.2, 1.44, 1.73]
-
-    def run(strategy, telemetry=None):
-        det = SlidingWindowDetector(
-            model, extractor, strategy=strategy, scales=scales, stride=2,
-            telemetry=telemetry,
-        )
-        return det.detect(frame)
-
-    feature_result = benchmark.pedantic(
-        lambda: run("feature"), rounds=3, iterations=1
-    )
-    image_result = run("image")
-
-    # One more instrumented pass for the per-sub-stage attribution.
-    # The detector no longer rewires caller-owned components, so the
-    # shared extractor is instrumented explicitly here and detached
-    # afterwards (the other benches must stay uninstrumented).
-    from repro.telemetry import NULL_TELEMETRY
-
-    extractor.telemetry = telemetry_registry
-    run("feature", telemetry=telemetry_registry)
-    extractor.telemetry = NULL_TELEMETRY
-    emit_snapshot(results_dir, "throughput_sw_telemetry",
-                  telemetry_registry.snapshot())
-
-    rows = []
-    for name, res in (("feature pyramid", feature_result),
-                      ("image pyramid", image_result)):
-        t = res.timings
-        rows.append(
-            [
-                name,
-                f"{t.extraction * 1e3:.1f}",
-                f"{t.pyramid * 1e3:.1f}",
-                f"{t.classification * 1e3:.1f}",
-                f"{t.total * 1e3:.1f}",
-                str(res.n_windows_evaluated),
-            ]
-        )
-    text = format_table(
-        ["Pipeline", "extract ms", "pyramid ms", "classify ms", "total ms",
-         "windows"],
-        rows,
-        title=f"Software stage split — 480x640 frame, {len(scales)} scales",
-    )
-    emit(results_dir, "throughput_sw", text)
-
-    # Extraction once vs extraction per scale.
-    assert (
-        feature_result.timings.extraction
-        < image_result.timings.extraction / 2.0
-    )

@@ -66,36 +66,9 @@ def results_dir() -> Path:
     return path
 
 
-@pytest.fixture()
-def telemetry_registry():
-    """A fresh enabled registry to thread into instrumented components.
-
-    Benches that want per-stage attribution (rather than end-to-end
-    wall clock) pass this to ``SlidingWindowDetector`` /
-    ``HogExtractor`` / the accelerator and persist the snapshot with
-    :func:`emit_snapshot`.
-    """
-    from repro.telemetry import MetricsRegistry
-
-    return MetricsRegistry()
-
-
 def emit(results_dir: Path, name: str, text: str) -> None:
     """Print a result table and persist it under benchmarks/results/."""
     print()
     print(text)
     (results_dir / f"{name}.txt").write_text(text + "\n")
 
-
-def emit_snapshot(results_dir: Path, name: str, snapshot) -> None:
-    """Persist a telemetry snapshot as JSON under benchmarks/results/.
-
-    The file round-trips via ``repro.telemetry.snapshot_from_json`` so
-    later runs (or ``docs/PERFORMANCE.md`` refreshes) can diff per-stage
-    costs across commits.
-    """
-    from repro.telemetry import snapshot_to_json
-
-    (results_dir / f"{name}.json").write_text(
-        snapshot_to_json(snapshot) + "\n"
-    )

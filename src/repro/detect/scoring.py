@@ -54,8 +54,7 @@ Three aggregation strategies share the partial maps:
 
 The result equals the GEMM reference (``scorer="gemm"``) to float
 round-off (regrouped additions), with none of the descriptor-copy
-traffic; ``benchmarks/bench_scorer.py`` / ``bench_cascade.py`` measure
-the end-to-end win and assert the equivalence.
+traffic; ``tests/test_detect_scoring.py`` asserts the equivalence.
 """
 
 from __future__ import annotations
@@ -483,8 +482,8 @@ def score_blocks_cascade(
     ``stats_out``, when given, receives the aggregation statistics
     (``anchors_in``, ``anchors_survived``, ``rejected_per_stage``,
     ``positions_accumulated``, ``bailed_out``, and the boolean
-    ``rejected`` anchor mask) — the instrumentation hook the tests and
-    ``benchmarks/bench_cascade.py`` use.
+    ``rejected`` anchor mask) — the instrumentation hook the tests
+    use.
 
     ``out`` / ``arena`` mirror :func:`score_blocks_conv`: a
     preallocated score destination and/or an arena backing the

@@ -17,9 +17,8 @@ Two interchangeable scoring strategies produce the score grid:
   (and hence the detection set) are bitwise identical to ``conv``.
 * ``scorer="gemm"`` — the reference oracle: assemble the
   ``(n_windows, D)`` descriptor matrix and score it with one GEMM.
-  Kept for equivalence testing (``benchmarks/bench_scorer.py``,
-  ``tests/test_detect_scoring.py``) and as the didactically-obvious
-  implementation.
+  Kept for equivalence testing (``tests/test_detect_scoring.py``)
+  and as the didactically-obvious implementation.
 
 All return the same scores to float round-off (the cascade, by design,
 only where they exceed the threshold); see docs/ARCHITECTURE.md

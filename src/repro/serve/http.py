@@ -21,7 +21,8 @@ Endpoints
 ``GET /healthz``
     Liveness: 200 while the process runs.
 ``GET /readyz``
-    Readiness: 200 while sessions are accepted, 503 once draining.
+    Readiness: 200 while sessions are accepted, 503 once draining or
+    once a worker pool has lost its workers.
 ``GET /metrics``
     The telemetry registry in Prometheus text exposition format.
 ``POST /v1/sessions``
@@ -281,9 +282,11 @@ class ServeApp:
         if path == "/healthz" and method == "GET":
             return 200, "text/plain; charset=utf-8", b"ok\n"
         if path == "/readyz" and method == "GET":
-            if self.service.ready:
-                return 200, "text/plain; charset=utf-8", b"ready\n"
-            return 503, "text/plain; charset=utf-8", b"draining\n"
+            if not self.service.ready:
+                return 503, "text/plain; charset=utf-8", b"draining\n"
+            if not self.service.healthy:
+                return 503, "text/plain; charset=utf-8", b"unhealthy\n"
+            return 200, "text/plain; charset=utf-8", b"ready\n"
         if path == "/metrics" and method == "GET":
             text = render_prometheus(self.service.snapshot())
             return (200, "text/plain; version=0.0.4; charset=utf-8",

@@ -529,6 +529,15 @@ class DetectionService:
         """True while the service accepts sessions and frames."""
         return self._started and not self._draining
 
+    @property
+    def healthy(self) -> bool:
+        """False once any pool's executor has lost its workers.
+
+        ``/readyz`` then answers 503.  Admission does not change:
+        frames sent to that pool still resolve ``FAILED``.
+        """
+        return all(pool.healthy for pool in self._pools.values())
+
     # -- sessions --------------------------------------------------------
 
     def open_session(self, *,

@@ -47,6 +47,13 @@ def grid(frame):
     return HogExtractor().extract(frame)
 
 
+@pytest.fixture(scope="module")
+def duty_grids(grid, frame):
+    """A textured grid and a textureless one (a uniform frame: every
+    block is zero, the cascade's stage-0 bound collapses to the bias)."""
+    return [grid, HogExtractor().extract(np.full(frame.shape, 0.45))]
+
+
 def _random_model(n_features, seed=5):
     rng = np.random.default_rng(seed)
     return LinearSvmModel(
@@ -225,27 +232,29 @@ class TestScorerWiring:
             height=288, width=320, n_pedestrians=1,
             pedestrian_heights=(128, 150), scene_index=1,
         )
-        results = {}
-        for scorer in SCORERS:
-            det = SlidingWindowDetector(
-                model, extractor, scales=[1.0, 1.2], threshold=-0.2,
-                scorer=scorer,
-            )
-            results[scorer] = det.detect(scene.image)
-        gemm = results["gemm"]
-        for scorer in ("conv", "conv-cascade"):
-            other = results[scorer]
-            assert len(gemm.detections) == len(other.detections), scorer
-            assert gemm.n_windows_evaluated == other.n_windows_evaluated
-            for a, b in zip(gemm.detections, other.detections):
-                assert (a.top, a.left, a.height, a.width, a.scale) == \
-                    (b.top, b.left, b.height, b.width, b.scale)
-                assert a.score == pytest.approx(b.score, abs=1e-9)
-        # The cascade is bitwise-equal to conv where a detection
-        # survived, not merely close.
-        for a, b in zip(results["conv"].detections,
-                        results["conv-cascade"].detections):
-            assert a.score == b.score
+        unlit = np.full(scene.image.shape, 0.06)  # textureless
+        for image in (scene.image, unlit):
+            results = {}
+            for scorer in SCORERS:
+                det = SlidingWindowDetector(
+                    model, extractor, scales=[1.0, 1.2], threshold=-0.2,
+                    scorer=scorer,
+                )
+                results[scorer] = det.detect(image)
+            gemm = results["gemm"]
+            for scorer in ("conv", "conv-cascade"):
+                other = results[scorer]
+                assert len(gemm.detections) == len(other.detections), scorer
+                assert gemm.n_windows_evaluated == other.n_windows_evaluated
+                for a, b in zip(gemm.detections, other.detections):
+                    assert (a.top, a.left, a.height, a.width, a.scale) == \
+                        (b.top, b.left, b.height, b.width, b.scale)
+                    assert a.score == pytest.approx(b.score, abs=1e-9)
+            # The cascade is bitwise-equal to conv where a detection
+            # survived, not merely close.
+            for a, b in zip(results["conv"].detections,
+                            results["conv-cascade"].detections):
+                assert a.score == b.score
 
     def test_partial_matmul_span_recorded_per_scale(self, tiny_dataset,
                                                     trained):
@@ -392,32 +401,38 @@ class TestCascadeExactness:
             np.testing.assert_array_equal(casc, conv)
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_cascade_on_real_hog_grid(self, grid, trained_model, stride):
-        blocks = grid.blocks
+    def test_cascade_on_real_hog_grid(self, duty_grids, trained_model,
+                                      stride):
         thresholds = (-1e12, 0.0, 0.5, 1e12)
-        for threshold in thresholds:
-            self._assert_cascade_matches(
-                blocks, trained_model, 15, 7, stride, threshold, 16
-            )
+        for grid in duty_grids:
+            for threshold in thresholds:
+                self._assert_cascade_matches(
+                    grid.blocks, trained_model, 15, 7, stride, threshold,
+                    16,
+                )
 
-    def test_cascade_boxes_identical_to_gemm(self, grid, trained_model):
+    def test_cascade_boxes_identical_to_gemm(self, duty_grids,
+                                             trained_model):
         threshold = 0.0
-        gemm = classify_grid(grid, trained_model, scorer="gemm")
-        casc = classify_grid(grid, trained_model, scorer="conv-cascade",
-                             threshold=threshold)
-        conv = classify_grid(grid, trained_model, scorer="conv")
-        gemm_boxes = anchors_to_boxes(gemm, grid, threshold)
-        casc_boxes = anchors_to_boxes(casc, grid, threshold)
-        conv_boxes = anchors_to_boxes(conv, grid, threshold)
-        assert [
-            (b.top, b.left, b.height, b.width, b.score) for b in casc_boxes
-        ] == [
-            (b.top, b.left, b.height, b.width, b.score) for b in conv_boxes
-        ]
-        assert len(casc_boxes) == len(gemm_boxes)
-        for a, b in zip(gemm_boxes, casc_boxes):
-            assert (a.top, a.left) == (b.top, b.left)
-            assert a.score == pytest.approx(b.score, abs=1e-9)
+        for grid in duty_grids:
+            gemm = classify_grid(grid, trained_model, scorer="gemm")
+            casc = classify_grid(grid, trained_model,
+                                 scorer="conv-cascade", threshold=threshold)
+            conv = classify_grid(grid, trained_model, scorer="conv")
+            gemm_boxes = anchors_to_boxes(gemm, grid, threshold)
+            casc_boxes = anchors_to_boxes(casc, grid, threshold)
+            conv_boxes = anchors_to_boxes(conv, grid, threshold)
+            assert [
+                (b.top, b.left, b.height, b.width, b.score)
+                for b in casc_boxes
+            ] == [
+                (b.top, b.left, b.height, b.width, b.score)
+                for b in conv_boxes
+            ]
+            assert len(casc_boxes) == len(gemm_boxes)
+            for a, b in zip(gemm_boxes, casc_boxes):
+                assert (a.top, a.left) == (b.top, b.left)
+                assert a.score == pytest.approx(b.score, abs=1e-9)
 
     def test_nan_blocks_propagate_not_reject(self, trained_model):
         plan = plan_for(trained_model, 15, 7)

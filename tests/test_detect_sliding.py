@@ -6,6 +6,7 @@ import pytest
 from repro.detect import SlidingWindowDetector, anchors_to_boxes, classify_grid
 from repro.errors import ParameterError
 from repro.hog import HogExtractor
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,20 @@ class TestSlidingWindowDetector:
             model, extractor, scales=[1.0, 1.2, 1.44]
         ).detect(scene.image)
         assert three.timings.extraction < 3.0 * one.timings.extraction
+
+    @pytest.mark.parametrize("strategy, extractions",
+                             [("feature", 1), ("image", 4)])
+    def test_extractions_per_frame(self, trained_model, strategy,
+                                   extractions):
+        """HOG runs once per frame on the feature pyramid and once per
+        scale on the image pyramid, whatever the machine's speed."""
+        registry = MetricsRegistry()
+        detector = SlidingWindowDetector(
+            trained_model, strategy=strategy,
+            scales=[1.0, 1.2, 1.44, 1.73], telemetry=registry,
+        )
+        detector.detect(np.random.default_rng(0).random((256, 256)))
+        assert registry.counter("hog.extractions") == extractions
 
     def test_rejects_model_mismatch(self, trained_model):
         from repro.hog import HogParameters

@@ -16,8 +16,12 @@ The contracts under test, in the ISSUE's words:
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
 import queue
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -389,8 +393,9 @@ class _HttpHarness:
     """Run a DetectionService + ServeApp on a private loop thread so
     the synchronous ServeClient can talk to it from the test thread."""
 
-    def __init__(self, detector):
+    def __init__(self, detector, **service_kwargs):
         self._detector = detector
+        self._service_kwargs = {"workers": 2, **service_kwargs}
         self._ports: queue.Queue = queue.Queue()
         self._loop = None
         self._stop = None
@@ -417,7 +422,8 @@ class _HttpHarness:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         service = DetectionService(
-            self._detector, workers=2, telemetry=MetricsRegistry()
+            self._detector, telemetry=MetricsRegistry(),
+            **self._service_kwargs,
         )
         await service.start()
         app, _, port = await start_http_server(service, "127.0.0.1", 0)
@@ -459,6 +465,38 @@ class TestHttpFrontEnd:
             )
             assert status == 404
             assert b"no such session" in body
+
+    def test_readyz_is_503_after_the_worker_pool_dies(self, detector,
+                                                      frames):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        before = set(multiprocessing.active_children())
+        harness = _HttpHarness(detector, workers=1, backend="process",
+                               mp_start_method="fork")
+        with harness as client:
+            assert client.ready()
+            (worker,) = set(multiprocessing.active_children()) - before
+            os.kill(worker.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while client.ready():
+                assert time.monotonic() < deadline, (
+                    "/readyz still 200 after the worker was killed"
+                )
+                time.sleep(0.05)
+            status, _, body = client._request("GET", "/readyz")
+            assert (status, body) == (503, b"unhealthy\n")
+            # Admission is unchanged: frames on the dead pool are
+            # accepted and resolve FAILED, none lost.
+            session = client.open_session(max_pending=16)
+            for frame in frames[:3]:
+                assert client.submit_frame(session, frame)["accepted"]
+            results = client.collect(session, 3)
+            assert [r["status"] for r in results] == ["failed"] * 3
+            report = client.close_session(session)
+            assert report["submitted"] == 3
+            assert report["submitted"] == (
+                report["ok"] + report["failed"] + report["dropped"]
+            )
 
 
 def _read_only(frame):
