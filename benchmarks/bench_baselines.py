@@ -7,9 +7,11 @@ The paper's related work frames three families:
 * **model pyramid** — rescale the SVM model (Dollar [5], Benenson [1]).
 
 This bench runs all three on identical street scenes and reports
-scene-level recall/precision and the wall-clock split.  The shape that
-must hold: the image pyramid pays extraction per scale; the other two
-pay it once; all three find the planted pedestrians.
+scene-level recall and false positives.  The shape that must hold: the
+image pyramid pays extraction per scale; the other two pay it once;
+all three find the planted pedestrians.  The written tables carry only
+host-independent columns, so rerunning the bench leaves them unchanged;
+extraction time is asserted in memory.
 """
 
 import numpy as np
@@ -59,7 +61,6 @@ def test_pyramid_strategy_baselines(benchmark, bench_dataset,
             total_gt = 0
             false_pos = 0
             extraction = 0.0
-            total = 0.0
             for scene in scenes:
                 result = detector.detect(scene.image)
                 match = match_detections(result.detections, scene.boxes)
@@ -67,12 +68,10 @@ def test_pyramid_strategy_baselines(benchmark, bench_dataset,
                 total_gt += len(scene.boxes)
                 false_pos += len(match.unmatched_detections)
                 extraction += result.timings.extraction
-                total += result.timings.total
             stats[name] = {
                 "recall": matched / total_gt,
                 "fp_per_scene": false_pos / len(scenes),
                 "extract_ms": extraction / len(scenes) * 1e3,
-                "total_ms": total / len(scenes) * 1e3,
             }
         return stats
 
@@ -83,13 +82,11 @@ def test_pyramid_strategy_baselines(benchmark, bench_dataset,
             name,
             f"{s['recall']:.2f}",
             f"{s['fp_per_scene']:.1f}",
-            f"{s['extract_ms']:.1f}",
-            f"{s['total_ms']:.1f}",
         ]
         for name, s in stats.items()
     ]
     text = format_table(
-        ["Strategy", "recall", "FP/scene", "extract ms", "total ms"],
+        ["Strategy", "recall", "FP/scene"],
         rows,
         title=(
             f"Multi-scale strategy baselines — {N_SCENES} scenes, "
@@ -118,8 +115,6 @@ def test_fast_pyramid_fidelity(benchmark, results_dir):
     each constructed level against a ground-truth image-pyramid level
     (cosine similarity of block features over the common grid).
     """
-    import time
-
     from repro.hog import (
         FastFeaturePyramid,
         FeaturePyramid,
@@ -142,19 +137,15 @@ def test_fast_pyramid_fidelity(benchmark, results_dir):
 
     def run():
         truth = ImagePyramid.build(frame, scales, extractor)
-        t0 = time.perf_counter()
         dollar = FastFeaturePyramid.build(frame, scales, extractor)
-        t_dollar = time.perf_counter() - t0
-        t0 = time.perf_counter()
         paper = FeaturePyramid.build(
             frame, scales, extractor, FeatureScaler(mode="cells"),
             chained=False,
         )
-        t_paper = time.perf_counter() - t0
         out = {}
-        for name, pyr, extractions, elapsed in (
-            ("dollar [4] (octaves)", dollar, len(dollar.real_scales), t_dollar),
-            ("paper (1 extraction)", paper, 1, t_paper),
+        for name, pyr, extractions in (
+            ("dollar [4] (octaves)", dollar, len(dollar.real_scales)),
+            ("paper (1 extraction)", paper, 1),
         ):
             sims = []
             for level in pyr:
@@ -169,7 +160,6 @@ def test_fast_pyramid_fidelity(benchmark, results_dir):
                 "levels": len(pyr),
                 "min_cos": min(sims),
                 "mean_cos": float(np.mean(sims)),
-                "build_ms": elapsed * 1e3,
             }
         return out
 
@@ -181,13 +171,11 @@ def test_fast_pyramid_fidelity(benchmark, results_dir):
             str(s["levels"]),
             f"{s['mean_cos']:.3f}",
             f"{s['min_cos']:.3f}",
-            f"{s['build_ms']:.0f}",
         ]
         for name, s in stats.items()
     ]
     text = format_table(
-        ["Pyramid", "real extractions", "levels", "mean cos", "min cos",
-         "build ms"],
+        ["Pyramid", "real extractions", "levels", "mean cos", "min cos"],
         rows,
         title=f"Fast-pyramid fidelity vs true image pyramid — scales {scales}",
     )

@@ -1,7 +1,7 @@
 """Per-worker preallocated buffer arena for the frame hot path.
 
-After the partial-score conv scorer (PR 4) and the exact early-reject
-cascade (PR 7), the remaining steady-state cost of the frame path is
+After the partial-score scorer and its exact early-reject cascade,
+the remaining steady-state cost of the frame path is
 allocation: every frame allocated fresh gradient, histogram, block and
 partial-score arrays even though consecutive frames of one stream have
 identical shapes.  The paper's hardware (and the 58.6 mW DPM detector

@@ -32,12 +32,8 @@ with per-frame fault isolation and feeds the in-order results to the
 IoU tracker — see docs/STREAMING.md.  Both ``profile`` and ``stream``
 accept ``--backend process`` to run detection in the shared-memory
 process pool of ``repro.parallel`` instead of worker threads (worker
-telemetry is merged back into the printed report), and ``--scorer
-conv|conv-cascade|gemm`` to select the window-scoring strategy (the
-partial-score convolution of ``repro.detect.scoring``, the default;
-its staged early-reject cascade, tuned by ``--cascade-k``; or the
-descriptor-matrix reference path).  Images can also be supplied as
-``.npy`` arrays via ``--image``.  ``serve`` starts the
+telemetry is merged back into the printed report).  Images can also
+be supplied as ``.npy`` arrays via ``--image``.  ``serve`` starts the
 detection-as-a-service HTTP front end of :mod:`repro.serve` (concurrent
 client sessions over shared warm pools, ``/metrics`` in Prometheus
 format — see docs/SERVING.md); it drains gracefully on SIGINT/SIGTERM,
@@ -59,7 +55,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.detect.scoring import DEFAULT_CASCADE_K, SCORERS
 from repro.stream.types import BACKENDS
 
 #: ``--write`` / ``--check`` given without a path: use the page's
@@ -201,8 +196,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scales=tuple(args.scales),
         threshold=args.threshold,
         stride=args.stride,
-        scorer=args.scorer,
-        cascade_k=args.cascade_k,
         telemetry=True,
         arena=args.arena,
     )
@@ -261,7 +254,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                                  int(frames[0].shape[1])]
         report["backend"] = args.backend
         report["workers"] = args.workers
-        report["scorer"] = args.scorer
         output = json.dumps(report, indent=2, sort_keys=True)
     print(output)
     if args.out is not None:
@@ -299,8 +291,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         scales=tuple(args.scales),
         threshold=args.threshold,
         stride=args.stride,
-        scorer=args.scorer,
-        cascade_k=args.cascade_k,
         telemetry=True,
         arena=args.arena,
     )
@@ -348,7 +338,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     document = {
         "frames": args.frames,
         "frame_shape": [args.height, args.width],
-        "scorer": args.scorer,
         "stream": report.to_dict(),
         "failures": failures,
         "tracking": {
@@ -401,7 +390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         stride=args.stride,
         scorer=args.scorer,
-        cascade_k=args.cascade_k,
         telemetry=True,
         arena=args.arena,
     )
@@ -604,15 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "p50/p95)")
     profile.add_argument("--threshold", type=float, default=0.5)
     profile.add_argument("--stride", type=int, default=1)
-    profile.add_argument("--scorer", choices=SCORERS,
-                         default="conv",
-                         help="window-scoring strategy: the partial-score "
-                         "convolution (conv, default), its staged "
-                         "early-reject cascade (conv-cascade) or the "
-                         "descriptor-matrix reference path (gemm)")
-    profile.add_argument("--cascade-k", type=int, default=DEFAULT_CASCADE_K,
-                         help="conv-cascade only: block positions "
-                         "accumulated before the first rejection check")
     profile.add_argument("--arena", action=argparse.BooleanOptionalAction,
                          default=True,
                          help="preallocate hot-path buffers in a per-detector "
@@ -673,15 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--pedestrians", type=int, default=2)
     stream.add_argument("--threshold", type=float, default=0.5)
     stream.add_argument("--stride", type=int, default=1)
-    stream.add_argument("--scorer", choices=SCORERS,
-                        default="conv",
-                        help="window-scoring strategy: the partial-score "
-                        "convolution (conv, default), its staged "
-                        "early-reject cascade (conv-cascade) or the "
-                        "descriptor-matrix reference path (gemm)")
-    stream.add_argument("--cascade-k", type=int, default=DEFAULT_CASCADE_K,
-                        help="conv-cascade only: block positions "
-                        "accumulated before the first rejection check")
     stream.add_argument("--arena", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="preallocate hot-path buffers in a per-detector "
@@ -745,15 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scene-seed", type=int, default=0)
     serve.add_argument("--threshold", type=float, default=0.5)
     serve.add_argument("--stride", type=int, default=1)
-    serve.add_argument("--scorer", choices=SCORERS,
-                       default="conv",
-                       help="window-scoring strategy: the partial-score "
-                       "convolution (conv, default), its staged "
-                       "early-reject cascade (conv-cascade) or the "
-                       "descriptor-matrix reference path (gemm)")
-    serve.add_argument("--cascade-k", type=int, default=DEFAULT_CASCADE_K,
-                       help="conv-cascade only: block positions "
-                       "accumulated before the first rejection check")
+    serve.add_argument("--scorer", choices=("conv-cascade",),
+                       default="conv-cascade",
+                       help="the window scorer; conv-cascade, the "
+                       "early-reject cascade, is the only one")
     serve.add_argument("--arena", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="preallocate hot-path buffers in a per-detector "

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.detect.scoring import DEFAULT_CASCADE_K, validate_scorer
 from repro.errors import ParameterError
 from repro.hog.parameters import HogParameters
 from repro.svm.trainer import TrainOptions
@@ -39,18 +38,11 @@ class DetectorConfig:
     nms_iou:
         Non-maximum suppression IoU threshold.
     scorer:
-        Window-scoring strategy: ``"conv"`` (default, the partial-score
-        convolution of :mod:`repro.detect.scoring` — one block-grid
-        matmul per scale, no descriptor materialization),
-        ``"conv-cascade"`` (the same partial scores with staged
-        early-reject aggregation bounded by ``threshold``; identical
-        detections) or ``"gemm"`` (the descriptor-matrix reference
-        oracle).  Equivalent scores to float round-off; see
-        docs/PERFORMANCE.md §2.
-    cascade_k:
-        ``conv-cascade`` only: block positions accumulated before the
-        first rejection check
-        (:data:`repro.detect.scoring.DEFAULT_CASCADE_K`).
+        Only ``"conv-cascade"``, the detector's one scorer (the
+        early-reject cascade of :mod:`repro.detect.scoring`, bounded by
+        ``threshold``); any other value raises
+        :class:`~repro.errors.ParameterError`.  The field remains so
+        configurations that name the scorer keep loading.
     telemetry:
         Enable per-stage telemetry (:mod:`repro.telemetry`): the
         detector creates a :class:`~repro.telemetry.MetricsRegistry`,
@@ -60,7 +52,7 @@ class DetectorConfig:
     arena:
         Preallocate the hot path's scratch arrays in a per-detector
         :class:`~repro.arena.BufferArena` (docs/MEMORY.md): gradient /
-        histogram / block buffers and the conv scorers' partial-score
+        histogram / block buffers and the scorer's partial-score
         and score-grid slabs are allocated once at the stream's frame
         geometry and reused every frame — zero hot-path allocations
         after warmup, bitwise-identical detections.  On by default; the
@@ -77,8 +69,7 @@ class DetectorConfig:
     threshold: float = 0.0
     stride: int = 1
     nms_iou: float = 0.3
-    scorer: str = "conv"
-    cascade_k: int = DEFAULT_CASCADE_K
+    scorer: str = "conv-cascade"
     telemetry: bool = False
     arena: bool = True
 
@@ -92,8 +83,4 @@ class DetectorConfig:
             raise ParameterError(f"scales must be positive: {self.scales}")
         if self.stride < 1:
             raise ParameterError(f"stride must be >= 1, got {self.stride}")
-        validate_scorer(self.scorer)
-        if self.cascade_k < 1:
-            raise ParameterError(
-                f"cascade_k must be >= 1, got {self.cascade_k}"
-            )
+        validate_choice(self.scorer, ("conv-cascade",), "scorer")

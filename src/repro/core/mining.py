@@ -50,7 +50,7 @@ def mine_hard_negatives(
         if image.shape[0] < wh or image.shape[1] < ww:
             continue
         grid = extractor.extract(image)
-        scores = classify_grid(grid, model)
+        scores = classify_grid(grid, model, threshold=threshold)
         if scores.size == 0:
             continue
         rows, cols = np.nonzero(scores > threshold)

@@ -148,7 +148,8 @@ class MultiObjectDetector:
             bx, by = cls.hog.blocks_per_window
             for scale in cls.scales:
                 grid = levels[scale]
-                scores = classify_grid_windows(grid, cls.model, by, bx)
+                scores = classify_grid_windows(grid, cls.model, by, bx,
+                                               threshold=cls.threshold)
                 if scores.size == 0:
                     continue
                 n_windows += scores.size

@@ -107,8 +107,6 @@ class MultiScalePedestrianDetector:
             threshold=self.config.threshold,
             stride=self.config.stride,
             nms_iou=self.config.nms_iou,
-            scorer=self.config.scorer,
-            cascade_k=self.config.cascade_k,
             scaler=self.scaler,
             chained=self.config.chained_pyramid,
             telemetry=self.telemetry,

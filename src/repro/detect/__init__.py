@@ -15,14 +15,10 @@ the pyramid construction alone.
 from repro.detect.types import Detection, DetectionResult, StageTimings
 from repro.detect.nms import box_iou, non_maximum_suppression
 from repro.detect.scoring import (
-    DEFAULT_CASCADE_K,
-    SCORERS,
     ScorerPlan,
     plan_for,
     score_blocks_cascade,
     score_blocks_conv,
-    score_blocks_conv_fixed,
-    validate_scorer,
 )
 from repro.detect.sliding import (
     classify_grid,
@@ -41,14 +37,10 @@ __all__ = [
     "StageTimings",
     "box_iou",
     "non_maximum_suppression",
-    "DEFAULT_CASCADE_K",
-    "SCORERS",
     "ScorerPlan",
     "plan_for",
     "score_blocks_cascade",
     "score_blocks_conv",
-    "score_blocks_conv_fixed",
-    "validate_scorer",
     "classify_grid",
     "classify_grid_windows",
     "anchors_to_boxes",

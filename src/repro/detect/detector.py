@@ -10,7 +10,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.detect.nms import non_maximum_suppression
-from repro.detect.scoring import DEFAULT_CASCADE_K, validate_scorer
 from repro.detect.sliding import anchors_to_boxes, classify_grid
 from repro.detect.types import DetectionResult, StageTimings
 from repro.errors import ParameterError
@@ -51,23 +50,11 @@ class SlidingWindowDetector:
         Window stride in cells (paper: 1).
     nms_iou:
         IoU threshold for non-maximum suppression.
-    scorer:
-        Window-scoring strategy: ``"conv"`` (default, the partial-score
-        convolution of :mod:`repro.detect.scoring`),
-        ``"conv-cascade"`` (the same partial scores with staged
-        early-reject aggregation, exact at and above ``threshold``) or
-        ``"gemm"`` (the descriptor-matrix reference oracle).  Same
-        detections in all three; the conv scorers skip the per-window
-        descriptor copies entirely (see docs/PERFORMANCE.md §2).
-    cascade_k:
-        ``conv-cascade`` only: how many of the most discriminative
-        block positions stage 0 accumulates before the first rejection
-        check (:data:`repro.detect.scoring.DEFAULT_CASCADE_K`).
     scaler:
         Feature scaler used by the FEATURE strategy.
     arena:
         Optional :class:`~repro.arena.BufferArena` backing the hot
-        path's scratch arrays (HOG stage buffers and the conv scorers'
+        path's scratch arrays (HOG stage buffers and the scorer's
         partial/score slabs).  Follows the same ownership discipline as
         ``telemetry``: it is propagated only into an extractor the
         detector constructed itself, and only under the FEATURE
@@ -100,8 +87,6 @@ class SlidingWindowDetector:
         threshold: float = 0.0,
         stride: int = 1,
         nms_iou: float = 0.3,
-        scorer: str = "conv",
-        cascade_k: int = DEFAULT_CASCADE_K,
         scaler: FeatureScaler | None = None,
         chained: bool = True,
         telemetry: MetricsRegistry | None = None,
@@ -131,10 +116,6 @@ class SlidingWindowDetector:
         self.threshold = float(threshold)
         self.stride = int(stride)
         self.nms_iou = float(nms_iou)
-        self.scorer = validate_scorer(scorer)
-        if cascade_k < 1:
-            raise ParameterError(f"cascade_k must be >= 1, got {cascade_k}")
-        self.cascade_k = int(cascade_k)
         owns_scaler = scaler is None
         self.scaler = scaler if scaler is not None else FeatureScaler()
         self.chained = bool(chained)
@@ -198,8 +179,7 @@ class SlidingWindowDetector:
                 with tm.span("detect.classify"):
                     scores = classify_grid(
                         grid, self.model, stride=self.stride,
-                        scorer=self.scorer, threshold=self.threshold,
-                        cascade_k=self.cascade_k, telemetry=tm,
+                        threshold=self.threshold, telemetry=tm,
                         span=f"detect.scale[{grid.scale:.2f}].partial_matmul",
                         agg_span=(f"detect.scale[{grid.scale:.2f}]"
                                   f".cascade_aggregate"),

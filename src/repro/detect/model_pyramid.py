@@ -49,31 +49,26 @@ def classify_grid_with_scaled_model(
     grid: HogFeatureGrid,
     scaled: ScaledModel,
     *,
-    scorer: str = "conv",
-    threshold: float = 0.0,
-    cascade_k: int | None = None,
+    threshold: float | None = None,
     arena: BufferArena | None = None,
 ) -> np.ndarray:
     """Score every anchor of ``grid`` under a rescaled model's window.
 
     Returns a ``(rows, cols)`` score array; empty when the scaled
-    window no longer fits the grid.  ``scorer`` selects the scoring
-    strategy; with the conv scorers each scaled model caches its own
+    window no longer fits the grid.  Each scaled model caches its own
     partial-score plan (keyed by its window extent), so the per-scale
-    reshape happens once, not per frame.  ``threshold``/``cascade_k``
-    parameterize the ``conv-cascade`` early-reject bound and must
-    match the downstream detection threshold.  ``arena`` backs the conv
-    scorers' scratch slabs (docs/MEMORY.md); arena-backed scores are
-    valid only until the next arena-backed classify call.
+    reshape happens once, not per frame.  ``threshold`` picks the
+    aggregation as in :func:`repro.detect.sliding.classify_grid`: none
+    for the exact dense grid, the downstream detection threshold for
+    the early-reject cascade.  ``arena`` backs the scorer's scratch
+    slabs (docs/MEMORY.md); arena-backed scores are valid only until
+    the next arena-backed classify call.
     """
-    from repro.detect.scoring import DEFAULT_CASCADE_K
     from repro.detect.sliding import classify_grid_windows
 
     return classify_grid_windows(
-        grid, scaled.model, scaled.blocks_y, scaled.blocks_x, scorer=scorer,
-        threshold=threshold,
-        cascade_k=DEFAULT_CASCADE_K if cascade_k is None else cascade_k,
-        arena=arena,
+        grid, scaled.model, scaled.blocks_y, scaled.blocks_x,
+        threshold=threshold, arena=arena,
     )
 
 
@@ -92,12 +87,8 @@ class ModelPyramidDetector:
         scales: Sequence[float] = (1.0, 1.2),
         threshold: float = 0.0,
         nms_iou: float = 0.3,
-        scorer: str = "conv",
         arena: BufferArena | None = None,
     ) -> None:
-        from repro.detect.scoring import validate_scorer
-
-        self.scorer = validate_scorer(scorer)
         owns_extractor = extractor is None
         self.extractor = extractor if extractor is not None else HogExtractor()
         self.arena = arena
@@ -134,8 +125,7 @@ class ModelPyramidDetector:
         start = time.perf_counter()
         for scaled in self.scaled_models:
             scores = classify_grid_with_scaled_model(
-                grid, scaled, scorer=self.scorer, threshold=self.threshold,
-                arena=self.arena,
+                grid, scaled, threshold=self.threshold, arena=self.arena,
             )
             if scores.size == 0:
                 continue

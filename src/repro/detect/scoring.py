@@ -28,32 +28,31 @@ This module is that dataflow, vectorized:
    ``sum_{i,j} partial[r+i, c+j, i*bx+j] + bias`` — ``by*bx``
    vectorized slice additions over the whole anchor grid at once.
 
-Three aggregation strategies share the partial maps:
+One scorer, two aggregations over the same partial maps; which one runs
+depends only on whether the caller has a detection threshold:
 
-* :func:`score_blocks_conv` — the dense aggregation above.
-* :func:`score_blocks_cascade` — the staged early-reject cascade
-  (``scorer="conv-cascade"``): bound every anchor's best possible
-  score from the trained per-position weight norms and the L2-hys
-  block norms its window actually covers, rejecting anchors — before
-  the partial matmul even runs, when the whole grid is rejectable —
-  whose upper bound already falls below the detection threshold;
-  survivors accumulate the most discriminative positions first with
-  further staged checks, restricted to the bounding box of anchors
-  still alive.  **Exact, not approximate**: surviving anchors run the
-  identical partial matmul and the same fixed discriminativity-order
-  accumulation as the dense path, so their scores are bitwise
-  identical; rejected anchors report an upper bound that is itself at
-  or below the threshold, so the detection set is identical too.  The
-  software transcription of the partial-score classification pruning
-  that gives the paper's class of detectors (Suleiman et al.,
-  PAPERS.md) its energy budget.
-* :func:`score_blocks_conv_fixed` — the same dataflow on
-  :mod:`repro.hardware`'s int16 fixed-point grid (Q16.14 features,
-  Q16.12 weights, exact wide accumulation), for bounding what the RTL's
-  quantization costs.
+* :func:`score_blocks_conv` — the dense aggregation above, every score
+  exact.  For callers that need the whole score grid.
+* :func:`score_blocks_cascade` — the staged early-reject cascade, for
+  callers that threshold the grid (every detector): bound every
+  anchor's best possible score from the trained per-position weight
+  norms and the L2-hys block norms its window actually covers,
+  rejecting anchors — before the partial matmul even runs, when the
+  whole grid is rejectable — whose upper bound already falls below the
+  detection threshold; survivors accumulate the most discriminative
+  positions first with further staged checks, restricted to the
+  bounding box of anchors still alive.  **Exact, not approximate**:
+  surviving anchors run the identical partial matmul and the same fixed
+  discriminativity-order accumulation as the dense path, so their
+  scores are bitwise identical; rejected anchors report an upper bound
+  that is itself at or below the threshold, so the detection set is
+  identical too.  The software transcription of the partial-score
+  classification pruning that gives the paper's class of detectors
+  (Suleiman et al., PAPERS.md) its energy budget.
 
-The result equals the GEMM reference (``scorer="gemm"``) to float
-round-off (regrouped additions), with none of the descriptor-copy
+The dense scores equal scoring the ``(n_windows, D)`` descriptor matrix
+of :func:`repro.hog.extractor.window_descriptor_matrix` with one GEMM to
+float round-off (regrouped additions), with none of the descriptor-copy
 traffic; ``tests/test_detect_scoring.py`` asserts the equivalence.
 """
 
@@ -66,22 +65,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.contracts import check_array
-from repro.errors import HardwareConfigError, ParameterError, ShapeError
+from repro.errors import ParameterError, ShapeError
 from repro.svm.model import LinearSvmModel
 from repro.telemetry import MetricsRegistry, NULL_TELEMETRY
-from repro.validation import validate_choice
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
 
-#: Scoring strategies understood by ``classify_grid*`` and the detector
-#: stack.  ``conv`` is the partial-score scorer above, ``conv-cascade``
-#: its early-reject variant (same scores where it matters — see
-#: :func:`score_blocks_cascade`), and ``gemm`` is the descriptor-matrix
-#: reference oracle both are verified against.
-SCORERS = ("conv", "conv-cascade", "gemm")
-
-#: Default number of most-discriminative block positions the cascade
+#: Number of most-discriminative block positions the cascade
 #: accumulates before its first rejection check.
 DEFAULT_CASCADE_K = 16
 
@@ -105,16 +96,6 @@ _PLAN_CACHE_ATTR = "_scorer_plan_cache"
 #: without it two thread-backend workers racing on a cold model would
 #: both build the plan and double-count the hit/miss telemetry.
 _PLAN_CACHE_LOCK = threading.Lock()
-
-
-def validate_scorer(scorer: str) -> str:
-    """Return ``scorer`` if it names a known strategy, else raise.
-
-    The single gatekeeper for scorer strings: ``DetectorConfig`` and the
-    CLI both route through here (via :func:`repro.validation
-    .validate_choice`), so accepted values and error text cannot drift.
-    """
-    return validate_choice(scorer, SCORERS, "scorer")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,8 +241,8 @@ def _empty_scores(blocks: np.ndarray, plan: ScorerPlan) -> np.ndarray:
     """A 0x0 score grid in the dtype the scorer would have produced.
 
     Empty returns used to be float64 unconditionally; with float32
-    feature grids (and the fixed-point variant) that silently changed
-    the score dtype on frames too small for one window.
+    feature grids that silently changed the score dtype on frames too
+    small for one window.
     """
     return np.empty(
         (0, 0), dtype=np.result_type(blocks.dtype, plan.weights_rows.dtype)
@@ -349,8 +330,8 @@ def _aggregate_dense(
 
     Positions are added in ``plan.position_order`` (descending
     training-time discriminativity) rather than row-major.  The order
-    is an internal detail of the conv scorer — any fixed permutation
-    stays within float regrouping error of the GEMM oracle — but
+    is an internal detail of the scorer — any fixed permutation stays
+    within float regrouping error of the descriptor-matrix GEMM — but
     making the *dense* path use the cascade's order is what lets the
     cascade freeze rejected anchors mid-sequence and have every
     survivor finish **bitwise identical** to this function without
@@ -396,7 +377,7 @@ def score_blocks_conv(
         Weight layout from :func:`plan_for` / :meth:`ScorerPlan.build`.
     stride:
         Anchor stride in cells; anchors are ``range(0, rows, stride)``
-        exactly as in the GEMM path.
+        exactly as in the descriptor-matrix layout.
     telemetry, span:
         When telemetry is enabled the partial-score matmul is timed
         under ``span`` (default ``"detect.partial_matmul"``; the
@@ -471,13 +452,17 @@ def score_blocks_cascade(
     ``detect.cascade.bailouts``.
 
     Score-grid semantics: entries above ``threshold`` are exact (and
-    identical to the dense/gemm run); rejected entries hold the
+    identical to the dense run); rejected entries hold the
     anchor's partial-score **upper bound**, which is at or below
     ``threshold`` by construction — so thresholding the grid (as
     :func:`~repro.detect.sliding.anchors_to_boxes` does, with the same
     ``threshold``) yields the identical detection set.  ``threshold``
     must therefore be the downstream detection threshold; the detector
     wires its own.
+
+    Every caller on the detection path runs the default ``cascade_k``
+    (:data:`DEFAULT_CASCADE_K`); the keyword exists so the exactness
+    property tests can sweep it.
 
     ``stats_out``, when given, receives the aggregation statistics
     (``anchors_in``, ``anchors_survived``, ``rejected_per_stage``,
@@ -755,109 +740,3 @@ def _aggregate_cascade(
         ~alive,
     )
     return scores, stats
-
-
-def score_blocks_conv_fixed(
-    blocks: np.ndarray,
-    plan: ScorerPlan,
-    stride: int = 1,
-    feature_format=None,
-    weight_format=None,
-    accumulator_format=None,
-    telemetry: MetricsRegistry = NULL_TELEMETRY,
-    span: str | None = None,
-) -> np.ndarray:
-    """Partial-score aggregation on the hardware's int16 fixed-point grid.
-
-    Features and weights are quantized to
-    :data:`repro.hardware.fixed_point.FEATURE_FORMAT` (Q16.14) and
-    :data:`~repro.hardware.fixed_point.WEIGHT_FORMAT` (Q16.12) —
-    round-half-even with saturation, exactly like
-    :func:`repro.hardware.fixed_point.quantize` — and stored as int16.
-    The partial matmul and the row-major aggregation then run in int64,
-    which is *exact*: every feature*weight product lies on the
-    ``2**-(f_frac + w_frac)`` grid that the wide accumulator (Q48.26 by
-    default) holds without rounding — the same contract
-    :mod:`repro.hardware.mac` enforces for the MACBAR array.  The
-    returned float64 scores are therefore bit-identical to scoring the
-    quantized model on the quantized features in exact arithmetic; the
-    only error versus :func:`score_blocks_conv` is the input
-    quantization itself, which
-    :func:`repro.hardware.fixed_point.quantization_error` bounds.
-
-    Raises :class:`~repro.errors.HardwareConfigError` if the formats
-    cannot guarantee exact accumulation (fractional-bit contract) or if
-    a window score overflows the accumulator range.
-    """
-    from repro.hardware.fixed_point import (
-        ACCUMULATOR_FORMAT,
-        FEATURE_FORMAT,
-        WEIGHT_FORMAT,
-    )
-
-    feature_format = feature_format or FEATURE_FORMAT
-    weight_format = weight_format or WEIGHT_FORMAT
-    accumulator_format = accumulator_format or ACCUMULATOR_FORMAT
-    for name, fmt in (("feature", feature_format),
-                      ("weight", weight_format)):
-        if fmt.total_bits > 16:
-            raise HardwareConfigError(
-                f"{name} format {fmt.describe()} does not fit the int16 "
-                f"datapath"
-            )
-    needed = feature_format.frac_bits + weight_format.frac_bits
-    if accumulator_format.frac_bits < needed:
-        raise HardwareConfigError(
-            f"accumulator needs >= {needed} fractional bits to hold "
-            f"feature*weight products exactly, got "
-            f"{accumulator_format.frac_bits}"
-        )
-    check_array(blocks, "blocks", ndim=3, dtype=np.floating)
-    _validate_grid(blocks, plan, stride)
-    grid_rows, grid_cols, _ = blocks.shape
-    rows = grid_rows - plan.blocks_y + 1
-    cols = grid_cols - plan.blocks_x + 1
-    if rows <= 0 or cols <= 0:
-        return np.empty((0, 0), dtype=np.float64)
-
-    def to_ints(values: np.ndarray, fmt) -> np.ndarray:
-        scaled = np.round(np.asarray(values, dtype=np.float64)
-                          / fmt.resolution)
-        lo = fmt.min_value / fmt.resolution
-        hi = fmt.max_value / fmt.resolution
-        return np.clip(scaled, lo, hi).astype(np.int16)
-
-    features_i = to_ints(blocks, feature_format)
-    weights_i = to_ints(plan.weights_rows, weight_format).T
-    # Bias lands on the product grid: weight-format quantization, then
-    # a left shift by the feature fraction.
-    bias_units = int(round(float(np.round(plan.bias
-                                          / weight_format.resolution)))
-                     ) << feature_format.frac_bits
-
-    with telemetry.span(span or "detect.partial_matmul"):
-        partial = (
-            features_i.reshape(grid_rows * grid_cols, plan.block_dim)
-            .astype(np.int64)
-            @ weights_i.astype(np.int64)
-        )
-    partial = partial.reshape(grid_rows, grid_cols, plan.n_positions)
-
-    out_rows = len(range(0, rows, stride))
-    out_cols = len(range(0, cols, stride))
-    acc = np.full((out_rows, out_cols), bias_units, dtype=np.int64)
-    position = 0
-    for i in range(plan.blocks_y):
-        for j in range(plan.blocks_x):
-            acc += partial[i:i + rows:stride, j:j + cols:stride, position]
-            position += 1
-
-    product_resolution = (feature_format.resolution
-                          * weight_format.resolution)
-    limit = accumulator_format.max_value / product_resolution
-    if acc.size and (acc.max() > limit or acc.min() < -limit - 1):
-        raise HardwareConfigError(
-            f"window score overflows the "
-            f"{accumulator_format.describe()} accumulator"
-        )
-    return acc.astype(np.float64) * product_resolution

@@ -3,26 +3,23 @@
 The classifier slides one cell (8 original-scale pixels) at a time, as
 in the paper (Figure 2: "Sliding each window by one cell either in
 vertical or horizontal direction results in a new detection window").
-Two interchangeable scoring strategies produce the score grid:
+The score grid comes from the partial-score convolution of
+:mod:`repro.detect.scoring`: one compact block-grid matmul plus summed
+shifts, the software analogue of the hardware's MACBAR array streaming
+each N-HOGMem block column past the classifiers exactly once.  No
+window descriptor is ever materialized.
 
-* ``scorer="conv"`` (default) — the partial-score convolution of
-  :mod:`repro.detect.scoring`: one compact block-grid matmul plus
-  summed shifts, the software analogue of the hardware's MACBAR array
-  streaming each N-HOGMem block column past the classifiers exactly
-  once.  No window descriptor is ever materialized.
-* ``scorer="conv-cascade"`` — the conv scorer's staged early-reject
-  aggregation (:func:`repro.detect.scoring.score_blocks_cascade`):
-  anchors whose partial-score upper bound falls below the detection
-  threshold stop accumulating early.  Exact: above-threshold scores
-  (and hence the detection set) are bitwise identical to ``conv``.
-* ``scorer="gemm"`` — the reference oracle: assemble the
-  ``(n_windows, D)`` descriptor matrix and score it with one GEMM.
-  Kept for equivalence testing (``tests/test_detect_scoring.py``)
-  and as the didactically-obvious implementation.
+What the caller passes picks the aggregation:
 
-All return the same scores to float round-off (the cascade, by design,
-only where they exceed the threshold); see docs/ARCHITECTURE.md
-("Scoring strategies").
+* no ``threshold`` — the dense grid (:func:`~repro.detect.scoring
+  .score_blocks_conv`), every score exact;
+* a ``threshold`` — the early-reject cascade (:func:`~repro.detect
+  .scoring.score_blocks_cascade`): anchors whose partial-score upper
+  bound falls below the threshold stop accumulating early.  Scores
+  above the threshold, and hence the detection set, are bitwise
+  identical to the dense grid's.
+
+See docs/ARCHITECTURE.md ("Scoring").
 """
 
 from __future__ import annotations
@@ -33,15 +30,13 @@ import numpy as np
 
 from repro.contracts import check_array
 from repro.detect.scoring import (
-    DEFAULT_CASCADE_K,
     plan_for,
     score_blocks_cascade,
     score_blocks_conv,
-    validate_scorer,
 )
 from repro.detect.types import Detection
 from repro.errors import ParameterError
-from repro.hog.extractor import HogFeatureGrid, window_descriptor_matrix
+from repro.hog.extractor import HogFeatureGrid
 from repro.svm.model import LinearSvmModel
 from repro.telemetry import MetricsRegistry, NULL_TELEMETRY
 
@@ -54,9 +49,7 @@ def classify_grid(
     model: LinearSvmModel,
     stride: int = 1,
     *,
-    scorer: str = "conv",
-    threshold: float = 0.0,
-    cascade_k: int = DEFAULT_CASCADE_K,
+    threshold: float | None = None,
     telemetry: MetricsRegistry = NULL_TELEMETRY,
     span: str | None = None,
     agg_span: str | None = None,
@@ -66,20 +59,19 @@ def classify_grid(
 
     Returns a ``(rows, cols)`` array of decision values matching
     :meth:`HogFeatureGrid.window_positions` order; empty if the grid is
-    smaller than one window.  ``scorer`` selects the strategy (see
-    module docstring); ``threshold``/``cascade_k`` parameterize the
-    early-reject cascade and must match the downstream detection
-    threshold (``conv-cascade`` only); ``telemetry``/``span`` time the
-    conv scorers' partial-score matmul (``agg_span`` the cascade's
-    aggregation stage) and count plan-cache traffic.  ``arena`` backs
-    the conv scorers' partial-score tensor and score grid with
-    preallocated slabs (docs/MEMORY.md); the returned scores are then
-    valid only until the next arena-backed classify call.
+    smaller than one window.  Without ``threshold`` every score is
+    exact; with one, only the scores above it are (the rest are upper
+    bounds at or below it), so pass the threshold the grid is compared
+    against downstream (module docstring).  ``telemetry``/``span`` time
+    the partial-score matmul (``agg_span`` the cascade's aggregation
+    stage) and count plan-cache traffic.  ``arena`` backs the
+    partial-score tensor and score grid with preallocated slabs
+    (docs/MEMORY.md); the returned scores are then valid only until the
+    next arena-backed classify call.
     """
     bx, by = grid.params.blocks_per_window
     return classify_grid_windows(
-        grid, model, by, bx, stride=stride, scorer=scorer,
-        threshold=threshold, cascade_k=cascade_k,
+        grid, model, by, bx, stride=stride, threshold=threshold,
         telemetry=telemetry, span=span, agg_span=agg_span, arena=arena,
     )
 
@@ -91,9 +83,7 @@ def classify_grid_windows(
     blocks_x: int,
     stride: int = 1,
     *,
-    scorer: str = "conv",
-    threshold: float = 0.0,
-    cascade_k: int = DEFAULT_CASCADE_K,
+    threshold: float | None = None,
     telemetry: MetricsRegistry = NULL_TELEMETRY,
     span: str | None = None,
     agg_span: str | None = None,
@@ -111,9 +101,6 @@ def classify_grid_windows(
         raise ParameterError(
             f"window extent must be >= 1 block, got {blocks_y}x{blocks_x}"
         )
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
-    validate_scorer(scorer)
     blocks = grid.blocks
     expected = blocks_y * blocks_x * blocks.shape[2]
     if model.n_features != expected:
@@ -121,32 +108,16 @@ def classify_grid_windows(
             f"model has {model.n_features} weights; a {blocks_y}x{blocks_x}"
             f"-block window needs {expected}"
         )
-    rows = blocks.shape[0] - blocks_y + 1
-    cols = blocks.shape[1] - blocks_x + 1
-    if rows <= 0 or cols <= 0:
-        # Empty grids follow the scorer's output dtype (historically a
-        # bare float64 ``np.empty`` regardless of input dtype).
-        return np.empty(
-            (0, 0), dtype=np.result_type(blocks.dtype, model.weights.dtype)
-        )
-    if scorer == "conv":
-        plan = plan_for(model, blocks_y, blocks_x, telemetry=telemetry)
+    plan = plan_for(model, blocks_y, blocks_x, telemetry=telemetry)
+    if threshold is None:
         return score_blocks_conv(
             blocks, plan, stride=stride, telemetry=telemetry, span=span,
             arena=arena,
         )
-    if scorer == "conv-cascade":
-        plan = plan_for(model, blocks_y, blocks_x, telemetry=telemetry)
-        return score_blocks_cascade(
-            blocks, plan, threshold, stride=stride, cascade_k=cascade_k,
-            telemetry=telemetry, span=span, agg_span=agg_span, arena=arena,
-        )
-    matrix = window_descriptor_matrix(
-        blocks, blocks_y, blocks_x, stride=stride
+    return score_blocks_cascade(
+        blocks, plan, threshold, stride=stride, telemetry=telemetry,
+        span=span, agg_span=agg_span, arena=arena,
     )
-    out_rows = len(range(0, rows, stride))
-    out_cols = len(range(0, cols, stride))
-    return model.decision_function(matrix).reshape(out_rows, out_cols)
 
 
 def anchors_to_boxes(

@@ -38,13 +38,13 @@ def window_descriptor_matrix(
 
     The single descriptor-assembly implementation shared by
     :meth:`HogFeatureGrid.descriptor_matrix` (the grid's own window
-    geometry) and :func:`repro.detect.classify_grid_windows` (arbitrary
+    geometry) and the scorer equivalence tests (arbitrary
     ``blocks_y x blocks_x`` extents, e.g. rescaled models).  Row order
     is row-major over the anchors ``range(0, rows, stride) x
     range(0, cols, stride)``; each row concatenates the window's blocks
     row-major (``blocks_y * blocks_x * block_dim`` features).  Built
     from a strided view, so it costs one copy of the output matrix —
-    which is exactly the copy the ``conv`` scorer
+    which is exactly the copy the partial-score scorer
     (:mod:`repro.detect.scoring`) exists to avoid.
     """
     check_array(blocks, "blocks", ndim=3)

@@ -1,6 +1,6 @@
 """Pin the OpenBLAS builds loaded in this process to a thread count.
 
-The detector's one BLAS call — the conv scorer's partial-score GEMM —
+The detector's one BLAS call — the scorer's partial-score GEMM —
 has an inner dimension of 36, so OpenBLAS can only split its output
 among threads, and a second thread costs more than it saves: its
 helper busy-waits after every call and takes a core that another

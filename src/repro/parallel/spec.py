@@ -40,12 +40,9 @@ class DetectorSpec:
         records per-stage telemetry (each worker owns a private
         registry — process isolation is what makes per-worker
         telemetry safe where the thread backend must disable it).
-        The config also carries the ``scorer`` strategy and its
-        ``cascade_k`` / ``threshold`` knobs, so a
-        ``scorer="conv-cascade"`` parent rebuilds cascade-scoring
-        workers with the identical rejection bound (and a different
-        ``cascade_k`` yields a different :meth:`cache_key`, keeping
-        warm pools honest); the conv scorers' partial-score plan cache
+        The config also carries the detection ``threshold``, so workers
+        rebuild the cascade scorer with the parent's rejection bound;
+        the scorer's partial-score plan cache
         (:func:`repro.detect.scoring.plan_for`) lives on each worker's
         rebuilt model, so every worker pays one plan build per window
         geometry and hits the cache for the rest of its lifetime —

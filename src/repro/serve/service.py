@@ -436,8 +436,6 @@ class DetectionService:
         )
         self._started = True
         self._draining = False
-        if self.telemetry.enabled:
-            self.telemetry.set_gauge("serve.ready", 1.0)
 
     async def shutdown(self, drain: bool = True, *,
                        settle_timeout_s: float | None = None) -> ServeReport:
@@ -459,8 +457,6 @@ class DetectionService:
         telemetry = self.telemetry
         if self._started:
             self._draining = True
-            if telemetry.enabled:
-                telemetry.set_gauge("serve.ready", 0.0)
             for session in list(self._sessions.values()):
                 try:
                     await asyncio.wait_for(
@@ -587,7 +583,16 @@ class DetectionService:
     # -- introspection ---------------------------------------------------
 
     def snapshot(self):
-        """Point-in-time view of the service's telemetry registry."""
+        """Point-in-time view of the service's telemetry registry.
+
+        ``serve.ready`` is set here, from the same ``ready`` and
+        ``healthy`` that ``/readyz`` answers from, so a scrape never
+        reads 1 while a dead worker pool has ``/readyz`` at 503.
+        """
+        if self.telemetry.enabled:
+            self.telemetry.set_gauge(
+                "serve.ready", 1.0 if self.ready and self.healthy else 0.0
+            )
         return self.telemetry.snapshot()
 
     def report(self) -> ServeReport:

@@ -35,7 +35,7 @@ STAGE_LEAVES = {
 #: Stages recorded with a per-instance span name (one leaf per pyramid
 #: scale) rather than one fixed leaf.  Stage -> leaf *suffix*: every
 #: leaf ending in the suffix aggregates into the stage.  The first
-#: instance is ``detect.scale[<s>].partial_matmul`` — the conv scorer's
+#: instance is ``detect.scale[<s>].partial_matmul`` — the scorer's
 #: partial-score matmul, a sub-span of ``detect.classify`` (so the
 #: classify stage total already contains it; the stage entry shows the
 #: matmul share of it).
@@ -88,8 +88,8 @@ def stage_report(snapshot: TelemetrySnapshot) -> dict:
 
     ``stages``
         One entry per pipeline stage (gradient, histogram, normalize,
-        scale, classify, nms, plus partial_matmul when a conv scorer
-        ran and cascade_aggregate under ``conv-cascade``): call count,
+        scale, classify, nms, plus partial_matmul when the partial-score
+        matmul ran and cascade_aggregate when the cascade did): call count,
         total/p50/p95/max milliseconds.
     ``windows``
         Per-scale window counters (scanned / accepted / rejected) read
@@ -174,8 +174,8 @@ def render_text(snapshot: TelemetrySnapshot) -> str:
         if name.startswith("detect.cascade.")
     }
     if cascade:
-        # The early-reject cascade's per-stage rejection accounting
-        # (``--scorer conv-cascade``): how many anchors each stage
+        # The early-reject cascade's per-stage rejection accounting:
+        # how many anchors each stage
         # resolved and how much accumulation actually ran.
         lines.append("")
         lines.append("cascade counter                      value")

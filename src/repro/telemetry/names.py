@@ -112,19 +112,19 @@ NAMES: tuple[TelemetryName, ...] = (
                   "one scale's sliding-window scoring"),
     TelemetryName("detect.nms", "span", "non-maximum suppression"),
     TelemetryName("detect.partial_matmul", "span",
-                  "conv scorer's partial-score matmul (default span when "
+                  "the scorer's partial-score matmul (default span when "
                   "the caller names no scale)"),
     TelemetryName("detect.scale[<s>].partial_matmul", "span",
-                  "conv scorer's partial-score matmul at pyramid scale "
+                  "the scorer's partial-score matmul at pyramid scale "
                   "<s>, nested inside detect.classify"),
     TelemetryName("detect.cascade_aggregate", "span",
-                  "conv-cascade staged aggregation (default span when "
+                  "the cascade's staged aggregation (default span when "
                   "the caller names no scale)"),
     TelemetryName("detect.scale[<s>].cascade_aggregate", "span",
-                  "conv-cascade staged aggregation at pyramid scale "
+                  "the cascade's staged aggregation at pyramid scale "
                   "<s>, nested inside detect.classify"),
     TelemetryName("detect.cascade.anchors_in", "counter",
-                  "anchors entering the conv-cascade aggregation"),
+                  "anchors entering the cascade aggregation"),
     TelemetryName("detect.cascade.anchors_survived", "counter",
                   "anchors that completed full accumulation (everything "
                   "else was bounded out below threshold)"),
@@ -158,9 +158,9 @@ NAMES: tuple[TelemetryName, ...] = (
     TelemetryName("detect.scale[<s>].windows_rejected", "counter",
                   "windows at or below threshold at pyramid scale <s>"),
     TelemetryName("detect.scorer.plan_cache_hits", "counter",
-                  "conv-scorer ScorerPlan cache hits"),
+                  "ScorerPlan cache hits"),
     TelemetryName("detect.scorer.plan_cache_misses", "counter",
-                  "conv-scorer ScorerPlan cache misses (one per (model, "
+                  "ScorerPlan cache misses (one per (model, "
                   "window geometry))"),
     # -- HOG extraction -----------------------------------------------------
     TelemetryName("hog.extract", "span", "whole HOG extraction pass"),
@@ -284,8 +284,9 @@ NAMES: tuple[TelemetryName, ...] = (
                   "worker counts all its threads, a thread worker its "
                   "own)"),
     TelemetryName("serve.ready", "gauge",
-                  "1 while the service accepts sessions, 0 when draining "
-                  "or stopped"),
+                  "1 while the service accepts sessions and every worker "
+                  "pool is healthy (/readyz 200), else 0; set at each "
+                  "snapshot"),
     TelemetryName("serve.drained_clean", "gauge",
                   "1 when the last shutdown drained every pending frame"),
     TelemetryName("serve.http.requests", "counter",

@@ -186,15 +186,13 @@ def _duty_cycle(dataset, shape=(160, 160)):
 
 
 class TestArenaEquivalence:
-    @pytest.mark.parametrize("scorer", ["conv", "conv-cascade", "gemm"])
-    def test_detections_bitwise_identical(self, small_dataset, scorer):
+    def test_detections_bitwise_identical(self, small_dataset):
         frames = [np.random.default_rng(7).random((160, 160)),
                   *_duty_cycle(small_dataset)]
-        with_arena = _detector(small_dataset, scorer=scorer, arena=True)
+        with_arena = _detector(small_dataset, arena=True)
         without = MultiScalePedestrianDetector(
             with_arena.model,
-            DetectorConfig(threshold=0.5, stride=2, scorer=scorer,
-                           arena=False),
+            DetectorConfig(threshold=0.5, stride=2, arena=False),
         )
         for _ in range(2):  # second pass exercises warm slabs
             for frame in frames:
@@ -223,10 +221,8 @@ class TestArenaEquivalence:
 class TestSteadyState:
     """docs/MEMORY.md: zero hot-path slab allocations after warmup."""
 
-    @pytest.mark.parametrize("scorer", ["conv", "conv-cascade"])
-    def test_identical_frames_are_all_hits(self, small_dataset, scorer):
-        det = _detector(small_dataset, scales=(1.0, 1.2), scorer=scorer,
-                        arena=True)
+    def test_identical_frames_are_all_hits(self, small_dataset):
+        det = _detector(small_dataset, scales=(1.0, 1.2), arena=True)
         frames = [np.random.default_rng(3).random((160, 160)),
                   *_duty_cycle(small_dataset)]
         for frame in frames:
@@ -255,8 +251,7 @@ class TestSteadyState:
         det.detect(rng.random((128, 128)))  # smaller: reuses, no shrink
         assert (det.arena.resizes, det.arena.misses) == (resizes, misses)
 
-    @pytest.mark.parametrize("scorer", ["conv", "conv-cascade"])
-    def test_per_frame_churn_stays_small(self, small_dataset, scorer):
+    def test_per_frame_churn_stays_small(self, small_dataset):
         # tracemalloc peak-minus-baseline bounds the transient
         # allocation churn of one steady-state frame.  The arena path
         # must stay under half the allocating path's churn and under
@@ -283,11 +278,9 @@ class TestSteadyState:
                 tracemalloc.stop()
             return worst
 
-        arena_churn = churn(
-            _detector(small_dataset, scales=(1.0,), scorer=scorer,
-                      arena=True))
-        plain_churn = churn(
-            _detector(small_dataset, scales=(1.0,), scorer=scorer,
-                      arena=False))
+        arena_churn = churn(_detector(small_dataset, scales=(1.0,),
+                                      arena=True))
+        plain_churn = churn(_detector(small_dataset, scales=(1.0,),
+                                      arena=False))
         assert arena_churn < 3 * frame_bytes
         assert arena_churn < plain_churn / 2

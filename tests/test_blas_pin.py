@@ -54,7 +54,7 @@ def _boxes(detections):
 
 @pytest.fixture(scope="module")
 def vga_frame(tiny_dataset):
-    """The approach frame of the 480x640 duty cycle: its conv-scorer
+    """The approach frame of the 480x640 duty cycle: its partial-score
     GEMM is large enough for OpenBLAS to thread it when unpinned."""
     return tiny_dataset.make_scene(
         480, 640, n_pedestrians=3, pedestrian_heights=(128, 210),
@@ -67,7 +67,7 @@ def vga_detector(trained_model):
     return MultiScalePedestrianDetector(
         trained_model,
         DetectorConfig(scales=(1.0, 1.2), stride=1, threshold=0.5,
-                       scorer="conv-cascade", arena=True),
+                       arena=True),
     )
 
 

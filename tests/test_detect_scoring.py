@@ -1,20 +1,25 @@
 """Equivalence, caching and wiring tests for the partial-score scorer.
 
-The conv scorer (:mod:`repro.detect.scoring`) must be a drop-in
-replacement for the descriptor-matrix GEMM: same scores to float
-round-off on every geometry the detector stack can produce — dense and
-strided grids, signed/unsigned gradients, rescaled-model window
-extents, degenerate one-window and empty grids — and identical
-detections end-to-end through every execution backend.
+The scorer (:mod:`repro.detect.scoring`) must be a drop-in replacement
+for scoring the descriptor matrix with one GEMM, the reference these
+tests build themselves from
+:func:`~repro.hog.extractor.window_descriptor_matrix` and
+:meth:`~repro.svm.model.LinearSvmModel.decision_function`: the dense
+grid (no threshold) matches it to float round-off on every geometry the
+detector stack can produce — dense and strided grids, signed/unsigned
+gradients, rescaled-model window extents, degenerate one-window and
+empty grids — and the early-reject cascade (a threshold) is bitwise
+equal to the dense grid above its threshold, so detections are
+identical end-to-end through every execution backend.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.detect.detector as detector_module
 from repro.core import DetectorConfig, MultiScalePedestrianDetector
 from repro.detect import (
-    SCORERS,
     ScorerPlan,
     SlidingWindowDetector,
     anchors_to_boxes,
@@ -24,16 +29,17 @@ from repro.detect import (
     plan_for,
     score_blocks_cascade,
     score_blocks_conv,
-    score_blocks_conv_fixed,
 )
 from repro.errors import ParameterError, ShapeError
 from repro.hog import HogExtractor, HogFeatureGrid, HogParameters
+from repro.hog.extractor import window_descriptor_matrix
 from repro.svm import LinearSvmModel
 from repro.svm.model_scaling import model_pyramid
 from repro.telemetry import MetricsRegistry
 
-#: Acceptance tolerance: conv and gemm regroup float additions, so the
-#: scores agree to round-off, far inside 1e-9 absolute.
+#: Acceptance tolerance: the scorer and the descriptor-matrix GEMM
+#: regroup float additions, so the scores agree to round-off, far
+#: inside 1e-9 absolute.
 TOL = dict(rtol=0.0, atol=1e-9)
 
 
@@ -69,13 +75,30 @@ def _grid_from_blocks(blocks):
     )
 
 
+def _oracle(blocks, model, blocks_y, blocks_x, stride=1):
+    """The reference score grid: every window's descriptor, materialized,
+    scored with one GEMM."""
+    rows = blocks.shape[0] - blocks_y + 1
+    cols = blocks.shape[1] - blocks_x + 1
+    if rows <= 0 or cols <= 0:
+        return np.empty((0, 0))
+    matrix = window_descriptor_matrix(blocks, blocks_y, blocks_x,
+                                      stride=stride)
+    return model.decision_function(matrix).reshape(
+        len(range(0, rows, stride)), len(range(0, cols, stride))
+    )
+
+
+def _grid_oracle(grid, model, stride=1):
+    bx, by = grid.params.blocks_per_window
+    return _oracle(grid.blocks, model, by, bx, stride)
+
+
 class TestConvGemmEquivalence:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_classify_grid_across_strides(self, grid, trained_model, stride):
-        gemm = classify_grid(grid, trained_model, stride=stride,
-                             scorer="gemm")
-        conv = classify_grid(grid, trained_model, stride=stride,
-                             scorer="conv")
+        gemm = _grid_oracle(grid, trained_model, stride=stride)
+        conv = classify_grid(grid, trained_model, stride=stride)
         assert gemm.shape == conv.shape
         np.testing.assert_allclose(conv, gemm, **TOL)
 
@@ -83,26 +106,29 @@ class TestConvGemmEquivalence:
         params = HogParameters(signed_gradients=True)
         signed_grid = HogExtractor(params).extract(frame)
         model = _random_model(params.descriptor_length)
-        gemm = classify_grid(signed_grid, model, scorer="gemm")
-        conv = classify_grid(signed_grid, model, scorer="conv")
+        gemm = _grid_oracle(signed_grid, model)
+        conv = classify_grid(signed_grid, model)
         np.testing.assert_allclose(conv, gemm, **TOL)
 
     @pytest.mark.parametrize("scale", [0.8, 1.0, 1.25])
     def test_rescaled_model_window_extents(self, grid, trained_model, scale):
         params = grid.params
         (scaled,) = model_pyramid(trained_model, params, (scale,))
-        gemm = classify_grid_with_scaled_model(grid, scaled, scorer="gemm")
-        conv = classify_grid_with_scaled_model(grid, scaled, scorer="conv")
+        gemm = _oracle(grid.blocks, scaled.model, scaled.blocks_y,
+                       scaled.blocks_x)
+        conv = classify_grid_with_scaled_model(grid, scaled)
         assert gemm.shape == conv.shape
         np.testing.assert_allclose(conv, gemm, **TOL)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_rescaled_extents_with_stride(self, grid, trained_model, stride):
         (scaled,) = model_pyramid(trained_model, grid.params, (1.3,))
-        kw = dict(blocks_y=scaled.blocks_y, blocks_x=scaled.blocks_x,
-                  stride=stride)
-        gemm = classify_grid_windows(grid, scaled.model, scorer="gemm", **kw)
-        conv = classify_grid_windows(grid, scaled.model, scorer="conv", **kw)
+        gemm = _oracle(grid.blocks, scaled.model, scaled.blocks_y,
+                       scaled.blocks_x, stride=stride)
+        conv = classify_grid_windows(
+            grid, scaled.model, blocks_y=scaled.blocks_y,
+            blocks_x=scaled.blocks_x, stride=stride,
+        )
         np.testing.assert_allclose(conv, gemm, **TOL)
 
     def test_grid_barely_one_window(self, trained_model):
@@ -112,8 +138,8 @@ class TestConvGemmEquivalence:
         )
         tight = HogExtractor(params).extract(image)
         assert tight.n_window_positions == (1, 1)
-        gemm = classify_grid(tight, trained_model, scorer="gemm")
-        conv = classify_grid(tight, trained_model, scorer="conv")
+        gemm = _grid_oracle(tight, trained_model)
+        conv = classify_grid(tight, trained_model)
         assert gemm.shape == conv.shape == (1, 1)
         np.testing.assert_allclose(conv, gemm, **TOL)
         manual = trained_model.decision_function(
@@ -123,16 +149,15 @@ class TestConvGemmEquivalence:
 
     def test_empty_grid(self, trained_model):
         small = HogExtractor().extract(np.zeros((64, 48)))
-        for scorer in SCORERS:
-            assert classify_grid(small, trained_model,
-                                 scorer=scorer).size == 0
+        assert classify_grid(small, trained_model).size == 0
+        assert classify_grid(small, trained_model, threshold=0.0).size == 0
 
     def test_strided_conv_matches_dense_anchors_bitwise(self, grid,
                                                         trained_model):
         """Strided aggregation reads the same partial sums in the same
         order as the dense run, so shared anchors agree bitwise."""
-        dense = classify_grid(grid, trained_model, stride=1, scorer="conv")
-        coarse = classify_grid(grid, trained_model, stride=2, scorer="conv")
+        dense = classify_grid(grid, trained_model, stride=1)
+        coarse = classify_grid(grid, trained_model, stride=2)
         np.testing.assert_array_equal(coarse, dense[::2, ::2])
 
     @given(
@@ -142,11 +167,13 @@ class TestConvGemmEquivalence:
         blocks_x=st.integers(1, 6),
         block_dim=st.integers(1, 8),
         stride=st.integers(1, 3),
+        quantile=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=120, deadline=None)
     def test_property_random_geometry(self, grid_rows, grid_cols, blocks_y,
-                                      blocks_x, block_dim, stride, seed):
+                                      blocks_x, block_dim, stride, quantile,
+                                      seed):
         rng = np.random.default_rng(seed)
         blocks = rng.standard_normal((grid_rows, grid_cols, block_dim))
         model = LinearSvmModel(
@@ -155,10 +182,16 @@ class TestConvGemmEquivalence:
         )
         fake = _grid_from_blocks(blocks)
         kw = dict(blocks_y=blocks_y, blocks_x=blocks_x, stride=stride)
-        gemm = classify_grid_windows(fake, model, scorer="gemm", **kw)
-        conv = classify_grid_windows(fake, model, scorer="conv", **kw)
+        gemm = _oracle(blocks, model, blocks_y, blocks_x, stride)
+        conv = classify_grid_windows(fake, model, **kw)
         assert gemm.shape == conv.shape
         np.testing.assert_allclose(conv, gemm, **TOL)
+        # A threshold picks the cascade: bitwise the dense grid above it.
+        threshold = float(np.quantile(conv, quantile)) if conv.size else 0.0
+        casc = classify_grid_windows(fake, model, threshold=threshold, **kw)
+        above = conv > threshold
+        np.testing.assert_array_equal(casc > threshold, above)
+        np.testing.assert_array_equal(casc[above], conv[above])
 
 
 class TestScorerPlan:
@@ -183,7 +216,7 @@ class TestScorerPlan:
         model = _random_model(grid.params.descriptor_length, seed=11)
         registry = MetricsRegistry()
         for _ in range(3):
-            classify_grid(grid, model, scorer="conv", telemetry=registry)
+            classify_grid(grid, model, telemetry=registry)
         snap = registry.snapshot()
         assert snap.counters["detect.scorer.plan_cache_misses"] == 1
         assert snap.counters["detect.scorer.plan_cache_hits"] == 2
@@ -205,8 +238,7 @@ class TestScorerPlan:
         model = _random_model(grid.params.descriptor_length, seed=13)
         registry = MetricsRegistry()
         for stride in (1, 2, 3):
-            classify_grid(grid, model, stride=stride, scorer="conv",
-                          telemetry=registry)
+            classify_grid(grid, model, stride=stride, telemetry=registry)
         assert registry.snapshot().counters[
             "detect.scorer.plan_cache_misses"] == 1
 
@@ -217,44 +249,52 @@ class TestScorerPlan:
 
 
 class TestScorerWiring:
-    def test_rejects_unknown_scorer(self, grid, trained_model):
-        with pytest.raises(ParameterError, match="scorer"):
-            classify_grid(grid, trained_model, scorer="simd")
-        with pytest.raises(ParameterError, match="scorer"):
-            SlidingWindowDetector(trained_model, HogExtractor(),
-                                  scorer="nope")
-        with pytest.raises(ParameterError, match="scorer"):
-            DetectorConfig(scorer="nope")
+    def test_rejects_unknown_scorer(self):
+        # The cascade is the detector's only scorer; the config field
+        # accepts its name and nothing else.
+        for scorer in ("nope", "conv", "gemm"):
+            with pytest.raises(ParameterError, match="scorer"):
+                DetectorConfig(scorer=scorer)
+        assert DetectorConfig(scorer="conv-cascade").scorer == "conv-cascade"
 
-    def test_detector_scorers_agree_end_to_end(self, tiny_dataset, trained):
+    def test_detector_scorers_agree_end_to_end(self, tiny_dataset, trained,
+                                               monkeypatch):
+        """The detector (the cascade) against the same detector scoring
+        through the descriptor-matrix oracle and through the dense
+        grid, swapped in at the module-level ``classify_grid`` it
+        calls."""
         model, extractor = trained
         scene = tiny_dataset.make_scene(
             height=288, width=320, n_pedestrians=1,
             pedestrian_heights=(128, 150), scene_index=1,
         )
         unlit = np.full(scene.image.shape, 0.06)  # textureless
+        det = SlidingWindowDetector(
+            model, extractor, scales=[1.0, 1.2], threshold=-0.2,
+        )
+        swaps = {
+            "gemm": lambda grid, model, stride=1, **_: _grid_oracle(
+                grid, model, stride),
+            "conv": lambda grid, model, stride=1, **_: classify_grid(
+                grid, model, stride),
+        }
         for image in (scene.image, unlit):
+            casc = det.detect(image)
             results = {}
-            for scorer in SCORERS:
-                det = SlidingWindowDetector(
-                    model, extractor, scales=[1.0, 1.2], threshold=-0.2,
-                    scorer=scorer,
-                )
-                results[scorer] = det.detect(image)
+            for name, swap in swaps.items():
+                with monkeypatch.context() as m:
+                    m.setattr(detector_module, "classify_grid", swap)
+                    results[name] = det.detect(image)
             gemm = results["gemm"]
-            for scorer in ("conv", "conv-cascade"):
-                other = results[scorer]
-                assert len(gemm.detections) == len(other.detections), scorer
-                assert gemm.n_windows_evaluated == other.n_windows_evaluated
-                for a, b in zip(gemm.detections, other.detections):
-                    assert (a.top, a.left, a.height, a.width, a.scale) == \
-                        (b.top, b.left, b.height, b.width, b.scale)
-                    assert a.score == pytest.approx(b.score, abs=1e-9)
-            # The cascade is bitwise-equal to conv where a detection
-            # survived, not merely close.
-            for a, b in zip(results["conv"].detections,
-                            results["conv-cascade"].detections):
-                assert a.score == b.score
+            assert len(gemm.detections) == len(casc.detections)
+            assert gemm.n_windows_evaluated == casc.n_windows_evaluated
+            for a, b in zip(gemm.detections, casc.detections):
+                assert (a.top, a.left, a.height, a.width, a.scale) == \
+                    (b.top, b.left, b.height, b.width, b.scale)
+                assert a.score == pytest.approx(b.score, abs=1e-9)
+            # The cascade is bitwise-equal to the dense grid where a
+            # detection survived, not merely close.
+            assert results["conv"].detections == casc.detections
 
     def test_partial_matmul_span_recorded_per_scale(self, tiny_dataset,
                                                     trained):
@@ -277,27 +317,19 @@ class TestScorerWiring:
         assert stages["partial_matmul"]["total_ms"] <= \
             stages["classify"]["total_ms"]
 
-    def test_gemm_detector_records_no_partial_matmul(self, tiny_dataset,
-                                                     trained):
-        model, extractor = trained
-        scene = tiny_dataset.make_scene(height=256, width=256,
-                                        n_pedestrians=0)
-        registry = MetricsRegistry()
-        det = SlidingWindowDetector(
-            model, extractor, scales=[1.0], scorer="gemm",
-            telemetry=registry,
+    def test_config_scorer_reaches_sliding_detector(self, trained_model,
+                                                    frame):
+        """The config's one scorer is what the detector runs: every
+        window it scans enters the cascade."""
+        det = MultiScalePedestrianDetector(
+            trained_model,
+            DetectorConfig(scorer="conv-cascade", telemetry=True),
         )
-        det.detect(scene.image)
-        snap = registry.snapshot()
-        assert not any("partial_matmul" in p for p in snap.spans)
-        assert "detect.scorer.plan_cache_misses" not in snap.counters
-
-    def test_config_scorer_reaches_sliding_detector(self, trained_model):
-        for scorer in SCORERS:
-            det = MultiScalePedestrianDetector(
-                trained_model, DetectorConfig(scorer=scorer)
-            )
-            assert det._detector.scorer == scorer
+        result = det.detect(frame)
+        counters = det.snapshot().counters
+        assert result.n_windows_evaluated > 0
+        assert counters["detect.cascade.anchors_in"] == \
+            result.n_windows_evaluated
 
     def test_spec_roundtrip_preserves_scorer(self, trained_model):
         import pickle
@@ -305,26 +337,25 @@ class TestScorerWiring:
         from repro.parallel.spec import DetectorSpec
 
         det = MultiScalePedestrianDetector(
-            trained_model, DetectorConfig(scorer="gemm", stride=2)
+            trained_model, DetectorConfig(threshold=0.25, stride=2)
         )
         spec = pickle.loads(DetectorSpec.from_detector(det).to_bytes())
         rebuilt = spec.build()
-        assert rebuilt.config.scorer == "gemm"
-        assert rebuilt._detector.scorer == "gemm"
+        assert rebuilt.config == det.config
+        assert rebuilt.config.scorer == "conv-cascade"
+        assert rebuilt._detector.threshold == 0.25
 
 
 class TestCascadeExactness:
     """The early-reject cascade must be *exactly* interchangeable with
-    the dense scorers: bitwise-equal scores for every anchor it let
+    the dense grid: bitwise-equal scores for every anchor it let
     finish, upper bounds at or below threshold for every anchor it
-    rejected, and therefore the identical detection set as the gemm
-    oracle at the shared threshold."""
+    rejected, and therefore the identical detection set as the
+    descriptor-matrix oracle at the shared threshold."""
 
     def _assert_cascade_matches(self, blocks, model, blocks_y, blocks_x,
                                 stride, threshold, cascade_k):
-        fake = _grid_from_blocks(blocks)
-        kw = dict(blocks_y=blocks_y, blocks_x=blocks_x, stride=stride)
-        gemm = classify_grid_windows(fake, model, scorer="gemm", **kw)
+        gemm = _oracle(blocks, model, blocks_y, blocks_x, stride)
         plan = plan_for(model, blocks_y, blocks_x)
         conv = score_blocks_conv(blocks, plan, stride=stride)
         stats = {}
@@ -380,11 +411,7 @@ class TestCascadeExactness:
             weights=rng.standard_normal(blocks_y * blocks_x * block_dim),
             bias=float(rng.normal()),
         )
-        fake = _grid_from_blocks(blocks)
-        gemm = classify_grid_windows(
-            fake, model, blocks_y=blocks_y, blocks_x=blocks_x,
-            stride=stride, scorer="gemm",
-        )
+        gemm = _oracle(blocks, model, blocks_y, blocks_x, stride)
         if threshold_kind == "reject_nothing":
             threshold = -1e12
         elif threshold_kind == "reject_everything":
@@ -415,10 +442,9 @@ class TestCascadeExactness:
                                              trained_model):
         threshold = 0.0
         for grid in duty_grids:
-            gemm = classify_grid(grid, trained_model, scorer="gemm")
-            casc = classify_grid(grid, trained_model,
-                                 scorer="conv-cascade", threshold=threshold)
-            conv = classify_grid(grid, trained_model, scorer="conv")
+            gemm = _grid_oracle(grid, trained_model)
+            casc = classify_grid(grid, trained_model, threshold=threshold)
+            conv = classify_grid(grid, trained_model)
             gemm_boxes = anchors_to_boxes(gemm, grid, threshold)
             casc_boxes = anchors_to_boxes(casc, grid, threshold)
             conv_boxes = anchors_to_boxes(conv, grid, threshold)
@@ -456,8 +482,6 @@ class TestCascadeExactness:
         plan = plan_for(trained_model, 15, 7)
         with pytest.raises(ParameterError, match="cascade_k"):
             score_blocks_cascade(grid.blocks, plan, 0.0, cascade_k=0)
-        with pytest.raises(ParameterError, match="cascade_k"):
-            DetectorConfig(cascade_k=0)
 
     def test_cascade_telemetry_counters(self, grid, trained_model):
         registry = MetricsRegistry()
@@ -484,8 +508,7 @@ class TestCascadeExactness:
                                         n_pedestrians=0)
         registry = MetricsRegistry()
         det = SlidingWindowDetector(
-            model, extractor, scales=[1.0, 1.3], scorer="conv-cascade",
-            telemetry=registry,
+            model, extractor, scales=[1.0, 1.3], telemetry=registry,
         )
         det.detect(scene.image)
         snap = registry.snapshot()
@@ -494,76 +517,6 @@ class TestCascadeExactness:
         assert "detect.scale[1.30].cascade_aggregate" in leaves
         assert stage_report(snap)["stages"]["cascade_aggregate"]["count"] \
             == 2
-
-
-class TestFixedPointScorer:
-    def test_exactly_scores_the_quantized_problem(self, trained_model):
-        """The int16 path equals float64 scoring of the quantized
-        features with the quantized model *exactly* — the documented
-        contract that reduces its total error to input quantization."""
-        from repro.hardware.fixed_point import (
-            FEATURE_FORMAT, WEIGHT_FORMAT, quantize,
-        )
-
-        rng = np.random.default_rng(23)
-        blocks = rng.uniform(0.0, 1.0, (20, 12, 36))
-        plan = plan_for(trained_model, 15, 7)
-        fixed = score_blocks_conv_fixed(blocks, plan)
-        q_model = LinearSvmModel(
-            weights=quantize(trained_model.weights, WEIGHT_FORMAT),
-            bias=float(quantize(trained_model.bias, WEIGHT_FORMAT)),
-        )
-        q_plan = ScorerPlan.build(q_model, 15, 7)
-        reference = score_blocks_conv(
-            quantize(blocks, FEATURE_FORMAT), q_plan
-        )
-        np.testing.assert_array_equal(fixed, reference)
-
-    def test_error_bounded_by_quantization(self, trained_model):
-        from repro.hardware.fixed_point import (
-            FEATURE_FORMAT, WEIGHT_FORMAT, quantization_error,
-        )
-
-        rng = np.random.default_rng(29)
-        blocks = rng.uniform(0.0, 1.0, (20, 12, 36))
-        plan = plan_for(trained_model, 15, 7)
-        fixed = score_blocks_conv_fixed(blocks, plan)
-        exact = score_blocks_conv(blocks, plan)
-        feat_err = quantization_error(blocks, FEATURE_FORMAT)
-        w_err = quantization_error(trained_model.weights, WEIGHT_FORMAT)
-        assert feat_err["saturation_rate"] == 0.0
-        assert w_err["saturation_rate"] == 0.0
-        # First-order triangle bound on the per-window dot product.
-        n_terms = plan.n_positions * plan.block_dim
-        w_scale = float(np.max(np.abs(trained_model.weights)))
-        bound = n_terms * (
-            feat_err["max_abs_error"] * (w_scale + w_err["max_abs_error"])
-            + w_err["max_abs_error"] * 1.0
-        ) + w_err["max_abs_error"]
-        assert float(np.max(np.abs(fixed - exact))) <= bound
-
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_strided_matches_dense_anchors(self, trained_model, stride):
-        rng = np.random.default_rng(31)
-        blocks = rng.uniform(0.0, 1.0, (22, 13, 36))
-        plan = plan_for(trained_model, 15, 7)
-        dense = score_blocks_conv_fixed(blocks, plan, stride=1)
-        coarse = score_blocks_conv_fixed(blocks, plan, stride=stride)
-        np.testing.assert_array_equal(coarse,
-                                      dense[::stride, ::stride])
-
-    def test_rejects_inexact_accumulator(self, trained_model):
-        from repro.errors import HardwareConfigError
-        from repro.hardware.fixed_point import FixedPointFormat
-
-        plan = plan_for(trained_model, 15, 7)
-        blocks = np.zeros((15, 7, 36))
-        with pytest.raises(HardwareConfigError, match="fractional"):
-            score_blocks_conv_fixed(
-                blocks, plan,
-                accumulator_format=FixedPointFormat(total_bits=32,
-                                                    frac_bits=20),
-            )
 
 
 class TestEmptyGridDtype:
@@ -582,7 +535,6 @@ class TestEmptyGridDtype:
         assert score_blocks_conv(small64, plan).dtype == np.float64
         assert score_blocks_cascade(small32, plan, 0.0).dtype == \
             score_blocks_conv(small32, plan).dtype
-        assert score_blocks_conv_fixed(small64, plan).dtype == np.float64
         small_grid = _grid_from_blocks(small32)
         out = classify_grid_windows(small_grid, trained_model, 15, 7)
         assert out.size == 0
@@ -634,10 +586,9 @@ class TestBackendParity:
     def test_process_backend_matches_thread_frame_for_frame(
         self, tiny_dataset, trained_model
     ):
-        """detect_batch(backend="process") with the conv scorer must be
-        indistinguishable from the thread backend, frame for frame."""
+        """detect_batch(backend="process") must be indistinguishable
+        from the thread backend, frame for frame."""
         config = DetectorConfig(scales=(1.0,), threshold=-0.2, stride=2)
-        assert config.scorer == "conv"
         detector = MultiScalePedestrianDetector(trained_model, config)
         frames = [
             tiny_dataset.make_scene(
@@ -661,52 +612,25 @@ class TestBackendParity:
     def test_cascade_backend_parity_frame_for_frame(
         self, tiny_dataset, trained_model
     ):
-        """conv-cascade rides DetectorSpec into process workers and
-        must match the thread backend detection for detection."""
-        config = DetectorConfig(scales=(1.0,), threshold=-0.2, stride=2,
-                                scorer="conv-cascade", cascade_k=12)
+        """The cascade's rejection path rides DetectorSpec into process
+        workers too: on textured frames and on a textureless one (whose
+        every window the bias alone rejects at threshold 0) both backends
+        match in-process detection, detection for detection."""
+        config = DetectorConfig(scales=(1.0,), threshold=0.0, stride=2)
         detector = MultiScalePedestrianDetector(trained_model, config)
         frames = [
             tiny_dataset.make_scene(
                 height=192, width=192, n_pedestrians=1,
                 pedestrian_heights=(128, 140), scene_index=i,
             ).image
-            for i in range(3)
-        ]
+            for i in range(2)
+        ] + [np.full((192, 192), 0.06)]
         threaded = detector.detect_batch(frames, workers=2,
                                          backend="thread")
         processed = detector.detect_batch(frames, workers=2,
                                           backend="process")
         reference = [detector.detect(frame) for frame in frames]
+        assert reference[0].detections and not reference[-1].detections
         assert len(threaded) == len(processed) == len(frames)
         for t, p, r in zip(threaded, processed, reference):
-            assert len(t.detections) == len(p.detections) \
-                == len(r.detections)
-            for a, b, c in zip(t.detections, p.detections, r.detections):
-                assert (a.top, a.left, a.height, a.width, a.scale) == \
-                    (b.top, b.left, b.height, b.width, b.scale) == \
-                    (c.top, c.left, c.height, c.width, c.scale)
-                assert a.score == b.score == c.score
-
-    def test_cascade_spec_roundtrip_preserves_cascade_k(self,
-                                                        trained_model):
-        import pickle
-
-        from repro.parallel.spec import DetectorSpec
-
-        det = MultiScalePedestrianDetector(
-            trained_model,
-            DetectorConfig(scorer="conv-cascade", cascade_k=24),
-        )
-        spec = pickle.loads(DetectorSpec.from_detector(det).to_bytes())
-        rebuilt = spec.build()
-        assert rebuilt.config.scorer == "conv-cascade"
-        assert rebuilt._detector.cascade_k == 24
-        other = DetectorSpec.from_detector(
-            MultiScalePedestrianDetector(
-                trained_model,
-                DetectorConfig(scorer="conv-cascade", cascade_k=8),
-            )
-        )
-        assert DetectorSpec.from_detector(det).cache_key() != \
-            other.cache_key()
+            assert t.detections == p.detections == r.detections

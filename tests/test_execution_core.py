@@ -56,11 +56,13 @@ def _segments() -> list[str]:
 
 
 def _executor(kind: str, detector, workers: int = 1, max_batch: int = 1):
+    # Each worker builds its own detector from the spec, as the service
+    # does: a detector (and its buffer arena) has exactly one owner.
+    spec = DetectorSpec.from_detector(detector)
     if kind == "thread":
-        return ThreadExecutor(lambda: detector, workers,
+        return ThreadExecutor(spec.build, workers,
                               max_batch=max_batch, name="test-worker")
-    return ProcessExecutor(DetectorSpec.from_detector(detector), workers,
-                           max_batch=max_batch)
+    return ProcessExecutor(spec, workers, max_batch=max_batch)
 
 
 class _Collector:
@@ -121,6 +123,9 @@ class TestExecutorContract:
             executor.close()
         assert sorted(got) == list(range(executor.capacity))
         assert {status for status, _, _ in got.values()} == {"ok"}
+        for tag, (_, result, _) in got.items():
+            assert result.detections == detector.detect(
+                frames[tag % len(frames)]).detections
 
     def test_close_is_idempotent(self, kind, detector, frames):
         executor = _executor(kind, detector)

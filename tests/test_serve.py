@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.core import DetectorConfig, MultiScalePedestrianDetector
-from repro.detect.scoring import SCORERS
 from repro.errors import ParameterError, ServeError
 from repro.serve import (
     DetectionService,
@@ -473,8 +472,10 @@ class TestHttpFrontEnd:
         before = set(multiprocessing.active_children())
         harness = _HttpHarness(detector, workers=1, backend="process",
                                mp_start_method="fork")
+        ready_gauge = ("repro_serve_ready", ())
         with harness as client:
             assert client.ready()
+            assert client.metrics()["samples"][ready_gauge] == 1.0
             (worker,) = set(multiprocessing.active_children()) - before
             os.kill(worker.pid, signal.SIGKILL)
             deadline = time.monotonic() + 30.0
@@ -485,6 +486,8 @@ class TestHttpFrontEnd:
                 time.sleep(0.05)
             status, _, body = client._request("GET", "/readyz")
             assert (status, body) == (503, b"unhealthy\n")
+            # The gauge agrees with /readyz, not with the start-up state.
+            assert client.metrics()["samples"][ready_gauge] == 0.0
             # Admission is unchanged: frames on the dead pool are
             # accepted and resolve FAILED, none lost.
             session = client.open_session(max_pending=16)
@@ -532,13 +535,12 @@ class TestReadOnlyFrames:
         np.testing.assert_array_equal(frame, scene)
 
     @pytest.mark.parametrize("arena", [True, False])
-    @pytest.mark.parametrize("scorer", SCORERS)
     def test_detect_matches_writable_copy(self, trained_model, scene,
-                                          scorer, arena):
+                                          arena):
         det = MultiScalePedestrianDetector(
             trained_model,
             DetectorConfig(scales=(1.0, 1.2), stride=1, threshold=0.0,
-                           scorer=scorer, arena=arena),
+                           arena=arena),
         )
         expected = _boxes(det.detect(scene.copy()).detections)
         assert expected

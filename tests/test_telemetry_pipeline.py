@@ -68,7 +68,7 @@ class TestSlidingWindowTelemetry:
         report = stage_report(registry.snapshot())
         assert set(report["stages"]) == {
             "gradient", "histogram", "normalize", "scale", "classify",
-            "nms", "partial_matmul",
+            "nms", "partial_matmul", "cascade_aggregate",
         }
 
     def test_disabled_detector_records_nothing(self, trained, frame):
