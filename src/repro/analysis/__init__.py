@@ -2,11 +2,11 @@
 
 A small, stdlib-only AST linter enforcing invariants this repo has been
 bitten by before: canonical telemetry names (+ docs-table sync),
-telemetry-sink ownership, seeded randomness, ndarray contracts at
-stage boundaries, and — via the :mod:`repro.analysis.flow` CFG/dataflow
-engine — the concurrency contracts of the serving stack (no blocking
-calls on the event loop, no awaits under sync locks, loop-affine
-telemetry, SharedMemory lifecycle, arena-loan escape).  See
+telemetry-sink ownership, seeded randomness, and — via the
+:mod:`repro.analysis.flow` CFG/dataflow engine — the concurrency
+contracts of the serving stack (no blocking calls on the event loop,
+no awaits under sync locks, loop-affine telemetry, SharedMemory
+lifecycle, arena-loan escape).  See
 ``docs/ANALYSIS.md`` for the rule catalogue, pragma syntax and how to
 add a rule.
 

@@ -11,7 +11,6 @@ from repro.analysis.rules.arena_escape import ArenaLoanEscapeRule
 from repro.analysis.rules.async_blocking import AsyncBlockingCallRule
 from repro.analysis.rules.lock_await import LockHeldAcrossAwaitRule
 from repro.analysis.rules.loop_telemetry import LoopThreadTelemetryRule
-from repro.analysis.rules.ndarray_contracts import NdarrayBoundaryContractRule
 from repro.analysis.rules.randomness import UnseededRandomnessRule
 from repro.analysis.rules.shm_lifecycle import ShmLifecycleRule
 from repro.analysis.rules.telemetry_names import TelemetryNamesRule
@@ -22,7 +21,6 @@ __all__ = [
     "AsyncBlockingCallRule",
     "LockHeldAcrossAwaitRule",
     "LoopThreadTelemetryRule",
-    "NdarrayBoundaryContractRule",
     "ShmLifecycleRule",
     "TelemetryNamesRule",
     "TelemetryOwnershipRule",

@@ -26,11 +26,10 @@ _SKIP_DIRS = frozenset({
 #: Directories not listed run every rule (the ``src/`` posture).
 #:
 #: ``tests/`` opt-outs: tests legitimately draw unseeded randomness
-#: (hypothesis owns their determinism), record throwaway telemetry
-#: names against scratch registries, and exercise contract-violating
-#: shapes on purpose.  The flow/concurrency rules *do* run there — a
-#: test that blocks the loop or steals a segment is as broken as
-#: production code.  ``benchmarks/`` additionally keeps
+#: (hypothesis owns their determinism) and record throwaway telemetry
+#: names against scratch registries.  The flow/concurrency rules *do*
+#: run there — a test that blocks the loop or steals a segment is as
+#: broken as production code.  ``benchmarks/`` additionally keeps
 #: ``unseeded-randomness`` off per the same src-only policy even
 #: though current benchmarks are fully seeded.
 RULE_COVERAGE: dict[str, frozenset[str]] = {
@@ -39,7 +38,6 @@ RULE_COVERAGE: dict[str, frozenset[str]] = {
         "unseeded-randomness",
         "telemetry-names",
         "telemetry-ownership",
-        "ndarray-boundary-contract",
     }),
     "benchmarks": frozenset({
         "unseeded-randomness",

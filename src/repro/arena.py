@@ -46,52 +46,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.telemetry import MetricsRegistry, NULL_TELEMETRY
 
-__all__ = ["BufferArena", "check_out"]
-
-
-def check_out(
-    out: np.ndarray,
-    name: str,
-    shape: tuple[int, ...],
-    dtype: np.dtype,
-    *aliases: np.ndarray,
-) -> np.ndarray:
-    """Validate an ``out=`` destination against the kernel's contract.
-
-    The single gatekeeper behind every ``out=`` kernel parameter
-    (docs/MEMORY.md, "out= kernel conventions"): ``out`` must match the
-    result's exact ``shape`` and ``dtype``, be writable and
-    C-contiguous (kernels fill it with strided in-place ops that assume
-    the default layout), and must not share memory with any of the
-    kernel's input arrays (``aliases``) — an aliased destination would
-    let partially-written results feed back into the same kernel's
-    reads.  Violations raise :class:`~repro.errors.ParameterError`.
-    """
-    if not isinstance(out, np.ndarray):
-        raise ParameterError(
-            f"{name}: out= must be an ndarray, got {type(out).__name__}"
-        )
-    if tuple(out.shape) != tuple(shape):
-        raise ParameterError(
-            f"{name}: out= has shape {tuple(out.shape)}, expected "
-            f"{tuple(shape)}"
-        )
-    if out.dtype != np.dtype(dtype):
-        raise ParameterError(
-            f"{name}: out= has dtype {out.dtype}, expected "
-            f"{np.dtype(dtype)}"
-        )
-    if not out.flags.writeable:
-        raise ParameterError(f"{name}: out= is not writable")
-    if not out.flags.c_contiguous:
-        raise ParameterError(f"{name}: out= must be C-contiguous")
-    for other in aliases:
-        if other is not None and np.shares_memory(out, other):
-            raise ParameterError(
-                f"{name}: out= shares memory with an input array; "
-                f"aliased destinations are not supported"
-            )
-    return out
+__all__ = ["BufferArena"]
 
 
 class BufferArena:

@@ -60,7 +60,7 @@ def classify_grid_with_scaled_model(
     reshape happens once, not per frame.  ``threshold`` picks the
     aggregation as in :func:`repro.detect.sliding.classify_grid`: none
     for the exact dense grid, the downstream detection threshold for
-    the early-reject cascade.  ``arena`` backs the scorer's scratch
+    the early-reject cascade.  ``arena`` backs the cascade's scratch
     slabs (docs/MEMORY.md); arena-backed scores are valid only until
     the next arena-backed classify call.
     """

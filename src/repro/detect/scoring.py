@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ParameterError, ShapeError
 from repro.svm.model import LinearSvmModel
 from repro.telemetry import MetricsRegistry, NULL_TELEMETRY
@@ -291,31 +290,20 @@ def _partial_maps(
 
 
 def _scores_dest(
-    out: np.ndarray | None,
     arena: BufferArena | None,
-    blocks: np.ndarray,
     rows: int,
     cols: int,
     stride: int,
-    name: str,
 ) -> np.ndarray | None:
-    """Resolve the score-grid destination for an ``out=``/``arena=`` pair.
+    """The arena's ``detect.scores`` slab for the score grid, or ``None``.
 
-    Explicit ``out`` wins (validated against the docs/MEMORY.md
-    contract: exact shape, float64, C-contiguous, no aliasing with the
-    block grid); otherwise the arena's ``detect.scores`` slab; otherwise
-    ``None`` (allocating path).
+    ``None`` (no arena) means the allocating path.
     """
+    if arena is None:
+        return None
     out_rows = len(range(0, rows, stride))
     out_cols = len(range(0, cols, stride))
-    if out is not None:
-        from repro.arena import check_out
-
-        check_out(out, name, (out_rows, out_cols), np.float64, blocks)
-        return out
-    if arena is not None:
-        return arena.get("detect.scores", (out_rows, out_cols), np.float64)
-    return None
+    return arena.get("detect.scores", (out_rows, out_cols), np.float64)
 
 
 def _aggregate_dense(
@@ -362,9 +350,6 @@ def score_blocks_conv(
     stride: int = 1,
     telemetry: MetricsRegistry = NULL_TELEMETRY,
     span: str | None = None,
-    *,
-    out: np.ndarray | None = None,
-    arena: BufferArena | None = None,
 ) -> np.ndarray:
     """Score every window anchor of a block grid via partial scores.
 
@@ -383,28 +368,18 @@ def score_blocks_conv(
         under ``span`` (default ``"detect.partial_matmul"``; the
         detector passes ``detect.scale[<s>].partial_matmul`` so the
         per-scale split is visible in ``repro-das profile``).
-    out, arena:
-        Optional preallocated score destination (``(out_rows,
-        out_cols)`` float64, docs/MEMORY.md ``out=`` contract) and/or a
-        :class:`~repro.arena.BufferArena` backing the partial-score
-        tensor (``detect.partial``) and, when ``out`` is omitted, the
-        score grid itself (``detect.scores``).  Bitwise identical to
-        the allocating path.
 
     Returns the ``(out_rows, out_cols)`` score grid, empty when the
     window does not fit.
     """
-    check_array(blocks, "blocks", ndim=3, dtype=np.floating)
     _validate_grid(blocks, plan, stride)
     grid_rows, grid_cols, _ = blocks.shape
     rows = grid_rows - plan.blocks_y + 1
     cols = grid_cols - plan.blocks_x + 1
     if rows <= 0 or cols <= 0:
         return _empty_scores(blocks, plan)
-    dest = _scores_dest(out, arena, blocks, rows, cols, stride,
-                        "score_blocks_conv")
-    partial = _partial_maps(blocks, plan, telemetry, span, arena=arena)
-    return _aggregate_dense(partial, plan, rows, cols, stride, out=dest)
+    partial = _partial_maps(blocks, plan, telemetry, span)
+    return _aggregate_dense(partial, plan, rows, cols, stride)
 
 
 def score_blocks_cascade(
@@ -418,7 +393,6 @@ def score_blocks_cascade(
     agg_span: str | None = None,
     stats_out: dict | None = None,
     *,
-    out: np.ndarray | None = None,
     arena: BufferArena | None = None,
 ) -> np.ndarray:
     """Early-reject staged aggregation of the partial-score maps.
@@ -470,11 +444,12 @@ def score_blocks_cascade(
     ``rejected`` anchor mask) — the instrumentation hook the tests
     use.
 
-    ``out`` / ``arena`` mirror :func:`score_blocks_conv`: a
-    preallocated score destination and/or an arena backing the
-    partial-score tensor, bitwise identical to the allocating path.
+    ``arena``, when given, is a :class:`~repro.arena.BufferArena`
+    backing the partial-score tensor (``detect.partial``) and the score
+    grid (``detect.scores``), bitwise identical to the allocating path;
+    the returned grid is then valid only until the arena's next
+    ``detect.scores`` request.
     """
-    check_array(blocks, "blocks", ndim=3, dtype=np.floating)
     _validate_grid(blocks, plan, stride)
     if cascade_k < 1:
         raise ParameterError(f"cascade_k must be >= 1, got {cascade_k}")
@@ -487,8 +462,7 @@ def score_blocks_cascade(
             stats_out.update(_cascade_stats(0, 0, [], 0, False,
                                             np.zeros((0, 0), dtype=bool)))
         return _empty_scores(blocks, plan)
-    dest = _scores_dest(out, arena, blocks, rows, cols, stride,
-                        "score_blocks_cascade")
+    dest = _scores_dest(arena, rows, cols, stride)
     with telemetry.span(agg_span or "detect.cascade_aggregate"):
         bound0, brc, slack = _cascade_bounds(
             blocks, plan, threshold, stride, rows, cols
@@ -532,9 +506,9 @@ def score_blocks_cascade(
             )
         if dest is not None and scores is not dest:
             # The bound/cascade paths accumulate into ``bound0``; copy
-            # the finished grid into the caller's destination so the
-            # out=/arena= contract (result lives in ``dest``) holds on
-            # every branch.  An exact copy — bitwise identity holds.
+            # the finished grid into the arena's slab so the result
+            # lives in ``detect.scores`` on every branch.  An exact
+            # copy — bitwise identity holds.
             np.copyto(dest, scores)
             scores = dest
     if telemetry.enabled:

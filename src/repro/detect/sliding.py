@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.detect.scoring import (
     plan_for,
     score_blocks_cascade,
@@ -64,10 +63,11 @@ def classify_grid(
     bounds at or below it), so pass the threshold the grid is compared
     against downstream (module docstring).  ``telemetry``/``span`` time
     the partial-score matmul (``agg_span`` the cascade's aggregation
-    stage) and count plan-cache traffic.  ``arena`` backs the
-    partial-score tensor and score grid with preallocated slabs
-    (docs/MEMORY.md); the returned scores are then valid only until the
-    next arena-backed classify call.
+    stage) and count plan-cache traffic.  With a threshold, ``arena``
+    backs the cascade's partial-score tensor and score grid with
+    preallocated slabs (docs/MEMORY.md); the returned scores are then
+    valid only until the next arena-backed classify call.  The dense
+    grid (no threshold) always allocates.
     """
     bx, by = grid.params.blocks_per_window
     return classify_grid_windows(
@@ -112,7 +112,6 @@ def classify_grid_windows(
     if threshold is None:
         return score_blocks_conv(
             blocks, plan, stride=stride, telemetry=telemetry, span=span,
-            arena=arena,
         )
     return score_blocks_cascade(
         blocks, plan, threshold, stride=stride, telemetry=telemetry,
@@ -133,7 +132,6 @@ def anchors_to_boxes(
     ``(r * cell * s, c * cell * s)`` with size
     ``(window_h * s, window_w * s)``.
     """
-    check_array(scores, "scores", ndim=2)
     params = grid.params
     s = grid.scale
     cell = params.cell_size

@@ -28,16 +28,6 @@ class ParameterError(ReproError):
     """A configuration parameter is out of its valid domain."""
 
 
-class ContractError(ReproError):
-    """An ndarray violated a declared stage-boundary contract.
-
-    Raised by :mod:`repro.contracts` (only when ``REPRO_CONTRACTS`` is
-    enabled) when an array crossing a public ``imgproc`` / ``hog`` /
-    ``detect`` boundary does not match its declared shape, dtype or
-    finiteness — and for malformed contract declarations themselves.
-    """
-
-
 class TrainingError(ReproError):
     """SVM training could not proceed (degenerate labels, empty data...)."""
 

@@ -31,7 +31,7 @@ from repro.hardware.fixed_point import FEATURE_FORMAT, FixedPointFormat, quantiz
 from repro.hog.extractor import HogFeatureGrid
 from repro.hog.normalize import normalize_blocks
 from repro.hog.parameters import HogParameters
-from repro.imgproc.validate import ensure_grayscale
+from repro.validation import ensure_grayscale
 
 
 def alpha_max_beta_min(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:

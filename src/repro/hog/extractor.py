@@ -14,15 +14,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ShapeError
 from repro.hog.histogram import cell_histograms
 from repro.hog.normalize import normalize_blocks
 from repro.hog.parameters import HogParameters
 from repro.imgproc.convert import gamma_correct
 from repro.imgproc.gradients import gradient_polar
-from repro.imgproc.validate import ensure_grayscale
 from repro.telemetry import MetricsRegistry, NULL_TELEMETRY
+from repro.validation import ensure_grayscale
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
@@ -47,7 +46,6 @@ def window_descriptor_matrix(
     which is exactly the copy the partial-score scorer
     (:mod:`repro.detect.scoring`) exists to avoid.
     """
-    check_array(blocks, "blocks", ndim=3)
     dim = blocks.shape[2]
     length = blocks_y * blocks_x * dim
     rows = blocks.shape[0] - blocks_y + 1

@@ -35,11 +35,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ParameterError, ShapeError
 from repro.hog.parameters import HogParameters
 from repro.imgproc.gradients import STRIP_PIXELS
-from repro.imgproc.validate import is_positive_zero
+from repro.validation import check_out, is_positive_zero
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
@@ -288,8 +287,6 @@ def cell_histograms(
             f"magnitude {mag.shape} and orientation {ori.shape} must be "
             "matching 2-D arrays"
         )
-    check_array(mag, "magnitude", ndim=2, finite=True)
-    check_array(ori, "orientation", ndim=2, finite=True)
     cs = params.cell_size
     n_rows, n_cols = mag.shape[0] // cs, mag.shape[1] // cs
     if n_rows == 0 or n_cols == 0:
@@ -304,8 +301,6 @@ def cell_histograms(
     if out is None:
         out = np.empty((n_rows, n_cols, n_bins), dtype=np.float64)
     else:
-        from repro.arena import check_out
-
         check_out(out, "cell_histograms", (n_rows, n_cols, n_bins),
                   np.float64, mag, ori)
     if is_positive_zero(mag) and _orientation_in_range(ori, params):

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ParameterError, ShapeError
 from repro.hog.parameters import BlockNormalization, HogParameters
-from repro.imgproc.validate import is_positive_zero
+from repro.validation import check_out, is_positive_zero
 
 
 def normalize_vector(
@@ -50,10 +49,7 @@ def normalize_vector(
     v = np.asarray(vec, dtype=np.float64)
     if v.ndim == 0:
         raise ShapeError("normalize_vector needs at least a 1-D input")
-    check_array(v, "vec", dtype=np.float64)
     if out is not None:
-        from repro.arena import check_out
-
         check_out(out, "normalize_vector", v.shape, np.float64)
 
     if method is BlockNormalization.NONE:
@@ -144,7 +140,6 @@ def block_view(
     """
     c = np.asarray(cells, dtype=np.float64)
     n_rows, n_cols = _block_grid_shape(c, params)
-    check_array(c, "cells", ndim=3, dtype=np.float64)
     bs, stride = params.block_size, params.block_stride
     windows = np.lib.stride_tricks.sliding_window_view(c, (bs, bs), axis=(0, 1))
     # windows: (rows-bs+1, cols-bs+1, n_bins, bs, bs) -> stride and reorder
@@ -152,8 +147,6 @@ def block_view(
     windows = np.moveaxis(windows, 2, 4)  # (.., bs, bs, n_bins)
     if out is None:
         return windows.reshape(n_rows, n_cols, params.block_dim)
-    from repro.arena import check_out
-
     check_out(out, "block_view", (n_rows, n_cols, params.block_dim),
               np.float64, c)
     np.copyto(
@@ -185,8 +178,6 @@ def normalize_blocks(
         if out is None:
             out = np.empty(shape)
         else:
-            from repro.arena import check_out
-
             check_out(out, "block_view", shape, np.float64, c)
         out[...] = normalize_vector(
             np.zeros(params.block_dim),
@@ -195,8 +186,7 @@ def normalize_blocks(
             l2_hys_clip=params.l2_hys_clip,
         )
         return out
-    blocks = check_array(block_view(c, params, out=out), "blocks",
-                         ndim=3, dtype=np.float64)
+    blocks = block_view(c, params, out=out)
     return normalize_vector(
         blocks,
         params.normalization,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ParameterError, ShapeError
 from repro.hog.extractor import HogFeatureGrid
 from repro.hog.normalize import normalize_blocks, normalize_vector
@@ -45,7 +44,6 @@ def scale_to_cells(
     arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim != 3:
         raise ShapeError(f"feature grid must be 3-D, got shape {arr.shape}")
-    check_array(arr, "grid", ndim=3, dtype=np.float64)
     return resize_grid(arr, out_shape, method=method)
 
 
@@ -64,7 +62,6 @@ def scale_feature_grid(
     arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim != 3:
         raise ShapeError(f"feature grid must be 3-D, got shape {arr.shape}")
-    check_array(arr, "grid", ndim=3, dtype=np.float64)
     out_shape = (
         max(1, round(arr.shape[0] / scale)),
         max(1, round(arr.shape[1] / scale)),

@@ -39,7 +39,7 @@ from repro.imgproc.gradients import (
     gradient_xy,
 )
 from repro.imgproc.resize import Interpolation, rescale, resize, resize_grid
-from repro.imgproc.validate import (
+from repro.validation import (
     as_float_image,
     check_canvas,
     ensure_grayscale,

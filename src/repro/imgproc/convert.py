@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ImageError, ParameterError
-from repro.imgproc.validate import as_float_image
+from repro.validation import as_float_image
 
 # ITU-R BT.601 luma weights, the convention used by both OpenCV's
 # cvtColor(BGR2GRAY) and MATLAB's rgb2gray.
@@ -70,9 +69,12 @@ def to_uint8(image: np.ndarray) -> np.ndarray:
 
 
 def from_uint8(image: np.ndarray) -> np.ndarray:
-    """Convert a uint8 image in ``[0, 255]`` to float64 in ``[0, 1]``."""
+    """Convert a uint8 image in ``[0, 255]`` to float64 in ``[0, 1]``.
+
+    Shapes follow :func:`~repro.validation.as_float_image`: a 2-D
+    image or an ``(H, W, C)`` one with 1, 3 or 4 channels, non-empty.
+    """
     arr = np.asarray(image)
     if arr.dtype != np.uint8:
         raise ImageError(f"from_uint8 expects uint8 input, got {arr.dtype}")
-    check_array(arr, "image", ndim=(2, 3), dtype=np.uint8)
-    return arr.astype(np.float64) / 255.0
+    return as_float_image(arr) / 255.0

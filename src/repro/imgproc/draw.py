@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ImageError, ParameterError
-from repro.imgproc.validate import check_canvas
+from repro.validation import check_canvas
 
 
 def _blend(canvas: np.ndarray, mask: np.ndarray, value: float, alpha: float) -> None:

@@ -22,9 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ParameterError
-from repro.imgproc.validate import ensure_grayscale, is_positive_zero
+from repro.validation import check_out, ensure_grayscale, is_positive_zero
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arena import BufferArena
@@ -191,7 +190,6 @@ def gradient_polar(
         Angle in radians.  Unsigned (the HOG default): folded into
         ``[0, pi)``.  Signed: in ``[0, 2*pi)``.
     """
-    check_array(image, "image", ndim=(2, 3))
     if (out_magnitude is None) != (out_orientation is None):
         raise ParameterError(
             "gradient_polar: out_magnitude and out_orientation must be "
@@ -202,8 +200,6 @@ def gradient_polar(
         out_magnitude = np.empty(gray.shape)
         out_orientation = np.empty(gray.shape)
     else:
-        from repro.arena import check_out
-
         check_out(out_magnitude, "gradient_polar", gray.shape,
                   np.float64, image, out_orientation)
         check_out(out_orientation, "gradient_polar", gray.shape,

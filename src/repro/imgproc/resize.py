@@ -24,9 +24,8 @@ import enum
 
 import numpy as np
 
-from repro.contracts import check_array
 from repro.errors import ParameterError
-from repro.imgproc.validate import as_float_image, is_positive_zero
+from repro.validation import as_float_image, is_positive_zero
 
 
 class Interpolation(enum.Enum):
@@ -152,7 +151,6 @@ def resize_grid(
         raise ParameterError(
             f"grid must be at least 2-D and non-empty, got shape {arr.shape}"
         )
-    check_array(arr, "grid", dtype=np.float64)
     if isinstance(method, Interpolation) and is_positive_zero(arr):
         # Zeros in the layout each resampled axis would have.
         for axis, out_len in ((0, out_h), (1, out_w)):
@@ -180,7 +178,6 @@ def rescale(
     """
     if scale <= 0:
         raise ParameterError(f"scale must be positive, got {scale}")
-    check_array(image, "image", ndim=(2, 3))
     h, w = image.shape[:2]
     out_shape = (max(1, round(h * scale)), max(1, round(w * scale)))
     return resize(image, out_shape, method=method)

@@ -42,7 +42,6 @@ import numpy as np
 if TYPE_CHECKING:
     from multiprocessing.queues import Queue
 
-from repro.contracts import check_array
 from repro.errors import ParallelError
 
 #: Prefix of every segment this module creates; the CI smoke job greps
@@ -203,10 +202,9 @@ class SharedFrameRing:
         """Copy ``frame`` into ``slot`` and return its handle."""
         if self._closed:
             raise ParallelError("write() on a closed SharedFrameRing")
-        # Boundary contract (env-gated): the ring carries raw ndarrays
-        # of any shape/dtype — including deliberately corrupt frames,
-        # whose faults must surface in the worker's detect(), not here.
-        check_array(frame, "frame")
+        # The ring carries raw ndarrays of any shape/dtype — including
+        # deliberately corrupt frames, whose faults must surface in the
+        # worker's detect(), not here.
         frame = np.asarray(frame)
         if frame.nbytes > self.slot_bytes:
             raise ParallelError(
@@ -317,17 +315,12 @@ def attach_view(handle: FrameHandle) -> np.ndarray:
     the slot index is returned to the free queue.
     """
     shm = _attach_cached(handle.segment)
-    view = np.ndarray(
+    return np.ndarray(
         handle.shape,
         dtype=np.dtype(handle.dtype),
         buffer=shm.buf,
         offset=handle.offset,
     )
-    # Boundary contract (env-gated): mirror of the write() side — the
-    # mapped view must be a real ndarray of the handle's declared
-    # geometry, nothing stricter (corrupt pixel *values* are the
-    # detector's fault domain, not the transport's).
-    return check_array(view, "frame")
 
 
 def write_result_words(rslot: "ResultSlot", words: np.ndarray) -> bool:
@@ -337,7 +330,6 @@ def write_result_words(rslot: "ResultSlot", words: np.ndarray) -> bool:
     the slot's capacity; the caller then falls back to the pickle
     channel (``parallel.results_pickled``).
     """
-    check_array(words, "words", ndim=1, dtype=np.float64)
     if words.nbytes > rslot.capacity:
         return False
     shm = _attach_cached(rslot.segment)

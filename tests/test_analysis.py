@@ -37,7 +37,6 @@ EXPECTED_RULES = (
     "async-blocking-call",
     "lock-held-across-await",
     "loop-thread-telemetry",
-    "ndarray-boundary-contract",
     "shm-lifecycle",
     "telemetry-names",
     "telemetry-ownership",
@@ -205,69 +204,6 @@ class TestUnseededRandomnessRule:
         src = "x = np.random.rand(3)\n"
         findings = lint_snippet(
             tmp_path, self.RULE, src, relpath="tests/test_x.py"
-        )
-        assert findings == []
-
-
-class TestNdarrayBoundaryContractRule:
-    RULE = "ndarray-boundary-contract"
-    RELPATH = "imgproc/ops.py"
-
-    def test_unchecked_public_function_is_flagged(self, tmp_path):
-        src = (
-            "import numpy as np\n"
-            "def blur(image: np.ndarray) -> np.ndarray:\n"
-            "    return image\n"
-        )
-        (finding,) = lint_snippet(
-            tmp_path, self.RULE, src, relpath=self.RELPATH
-        )
-        assert "blur()" in finding.message
-        assert "(image)" in finding.message
-
-    def test_check_array_call_satisfies(self, tmp_path):
-        src = (
-            "import numpy as np\n"
-            "def blur(image: np.ndarray) -> np.ndarray:\n"
-            "    check_array(image, 'image', ndim=2)\n"
-            "    return image\n"
-        )
-        findings = lint_snippet(
-            tmp_path, self.RULE, src, relpath=self.RELPATH
-        )
-        assert findings == []
-
-    def test_array_contract_decorator_satisfies(self, tmp_path):
-        src = (
-            "import numpy as np\n"
-            "@array_contract(image='(H, W)')\n"
-            "def blur(image: np.ndarray) -> np.ndarray:\n"
-            "    return image\n"
-        )
-        findings = lint_snippet(
-            tmp_path, self.RULE, src, relpath=self.RELPATH
-        )
-        assert findings == []
-
-    def test_private_functions_are_exempt(self, tmp_path):
-        src = (
-            "import numpy as np\n"
-            "def _helper(image: np.ndarray):\n"
-            "    return image\n"
-        )
-        findings = lint_snippet(
-            tmp_path, self.RULE, src, relpath=self.RELPATH
-        )
-        assert findings == []
-
-    def test_non_boundary_packages_are_exempt(self, tmp_path):
-        src = (
-            "import numpy as np\n"
-            "def blur(image: np.ndarray):\n"
-            "    return image\n"
-        )
-        findings = lint_snippet(
-            tmp_path, self.RULE, src, relpath="telemetry/ops.py"
         )
         assert findings == []
 

@@ -17,10 +17,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.arena import BufferArena, check_out
+from repro.arena import BufferArena
 from repro.core import DetectorConfig, MultiScalePedestrianDetector
 from repro.errors import ParameterError
 from repro.telemetry import MetricsRegistry
+from repro.validation import check_out
 
 
 class TestBufferArena:

@@ -73,7 +73,7 @@ class TestSlugification:
         [
             ("Quick start", "quick-start"),
             ("The rules", "the-rules"),
-            ("`check_array` — imperative form", "check_array--imperative-form"),
+            ("`check_out` — destination form", "check_out--destination-form"),
             ("What differs from the paper?", "what-differs-from-the-paper"),
             ("A.B.C", "abc"),
             ("already-hyphenated", "already-hyphenated"),

@@ -89,3 +89,24 @@ class TestUint8Roundtrip:
     def test_from_uint8_rejects_float(self):
         with pytest.raises(ImageError, match="uint8"):
             from_uint8(np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(4,), (0, 4), (4, 0), (2, 2, 2), (2, 2, 5), (1, 2, 2, 3)],
+        ids=["1-d", "no-rows", "no-cols", "2-channel", "5-channel", "4-d"],
+    )
+    def test_from_uint8_rejects_what_to_uint8_rejects(self, shape):
+        with pytest.raises(ImageError):
+            to_uint8(np.zeros(shape))
+        with pytest.raises(ImageError):
+            from_uint8(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 5, 1), (3, 5, 3), (3, 5, 4)])
+    def test_from_uint8_values_are_bitwise_unchanged(self, shape):
+        rng = np.random.default_rng(0)
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        out = from_uint8(img)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(
+            out.view(np.uint64), (img.astype(np.float64) / 255.0).view(np.uint64)
+        )

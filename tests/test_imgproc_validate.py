@@ -1,4 +1,4 @@
-"""Unit tests for repro.imgproc.validate."""
+"""Unit tests for the image validators of repro.validation."""
 
 import numpy as np
 import pytest

@@ -2,7 +2,7 @@
 
 ``gradient_polar`` (per row strip), ``cell_histograms``,
 ``normalize_blocks`` and ``resize_grid`` (per call) skip input that
-:func:`repro.imgproc.validate.is_positive_zero` reports as all +0.0 and
+:func:`repro.validation.is_positive_zero` reports as all +0.0 and
 write the +0.0 their arithmetic would have produced.  The oracle is the
 same kernel with that test patched to always report energy, so every
 comparison here is between the skip and the full arithmetic on the
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arena import BufferArena
-from repro.contracts import contracts_enabled
 from repro.core import MultiScalePedestrianDetector
 from repro.errors import ParameterError, ReproError
 from repro.hog import HogExtractor, HogParameters
@@ -263,8 +262,7 @@ class TestRangeCheckOnSkippedGrids:
                 histogram.cell_histograms(mag, ori, params, arena=arena)
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1]
-        if not contracts_enabled():  # contracts reject non-finite first
-            assert errors[0][0] is ParameterError
+        assert errors[0][0] is ParameterError
 
     def test_in_range_extremes_pass(self):
         params = HogParameters()
