@@ -33,8 +33,9 @@ The package is organized as one sub-package per subsystem:
     snapshots for the detection hot path (off by default; enable with
     ``DetectorConfig(telemetry=True)`` or ``repro-das profile``).
 ``repro.stream``
-    Streaming frame pipeline: bounded-queue producer/worker/collector
-    around the detector with explicit backpressure, per-frame fault
+    Streaming frame pipeline: producer/worker/collector around the
+    detector behind an admission quota with explicit backpressure,
+    per-frame fault
     isolation and in-order emission (``repro-das stream``,
     docs/STREAMING.md).
 ``repro.core``

@@ -27,7 +27,7 @@ prints the hardware timing / resource / DAS-kinematics summaries;
 emits the per-stage cost report (gradient / histogram / normalize /
 scale / classify / nms timings plus per-scale window counters — see
 docs/TELEMETRY.md and docs/PERFORMANCE.md); ``stream`` runs a synthetic
-video through the bounded-queue streaming pipeline (``repro.stream``)
+video through the streaming pipeline (``repro.stream``)
 with per-frame fault isolation and feeds the in-order results to the
 IoU tracker — see docs/STREAMING.md.  Both ``profile`` and ``stream``
 accept ``--backend process`` to run detection in the shared-memory
@@ -197,7 +197,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         stride=args.stride,
         telemetry=True,
-        arena=args.arena,
     )
     if args.model is not None:
         detector = MultiScalePedestrianDetector.load_model(args.model, config)
@@ -292,7 +291,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         stride=args.stride,
         telemetry=True,
-        arena=args.arena,
     )
     detector = _stream_detector(args, config)
     source = SyntheticVideoSource(
@@ -365,8 +363,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     print(f"latency: p50 {report.latency_p50_ms:.1f} ms, "
           f"p95 {report.latency_p95_ms:.1f} ms, "
           f"max {report.latency_max_ms:.1f} ms")
-    print(f"queue depth: max {report.queue_depth_max:.0f}, "
-          f"mean {report.queue_depth_mean:.1f} (size {args.queue_size})")
+    print(f"pending at admission: max {report.queue_depth_max:.0f}, "
+          f"mean {report.queue_depth_mean:.1f} "
+          f"(queue size {args.queue_size})")
     print(f"tracking: {len(tracker.tracks)} live track(s), "
           f"{len(tracker.confirmed_tracks())} confirmed")
     if args.out is not None:
@@ -391,7 +390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stride=args.stride,
         scorer=args.scorer,
         telemetry=True,
-        arena=args.arena,
     )
     detector = _stream_detector(args, config)
     return asyncio.run(_serve_async(args, detector))
@@ -592,11 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "p50/p95)")
     profile.add_argument("--threshold", type=float, default=0.5)
     profile.add_argument("--stride", type=int, default=1)
-    profile.add_argument("--arena", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="preallocate hot-path buffers in a per-detector "
-                         "arena (docs/MEMORY.md); --no-arena reverts to "
-                         "per-frame allocation")
     profile.add_argument("--scales", type=float, nargs="+",
                          default=[1.0, 1.2])
     profile.add_argument("--workers", type=int, default=1,
@@ -616,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="run a synthetic video through the streaming pipeline "
-        "(bounded queues, worker threads, per-frame fault isolation)",
+        "(admission quota, worker threads, per-frame fault isolation)",
     )
     stream.add_argument("--model", type=Path, default=None,
                         help="trained .npz model (a small synthetic model "
@@ -631,11 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "shared-memory process pool (repro.parallel) — "
                         "see docs/STREAMING.md for selection guidance")
     stream.add_argument("--queue-size", type=int, default=8,
-                        help="frame intake queue capacity")
+                        help="quota of frames admitted but not yet "
+                        "emitted (queued, in flight or awaiting reorder)")
     stream.add_argument("--policy",
                         choices=("block", "drop-oldest", "drop-newest"),
                         default="block",
-                        help="backpressure policy when the queue is full")
+                        help="backpressure policy for a frame that would "
+                        "exceed the quota")
     stream.add_argument("--max-consecutive-failures", type=int, default=None,
                         help="circuit breaker: abort after this many "
                         "consecutive frame failures (default: disabled)")
@@ -652,11 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--pedestrians", type=int, default=2)
     stream.add_argument("--threshold", type=float, default=0.5)
     stream.add_argument("--stride", type=int, default=1)
-    stream.add_argument("--arena", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="preallocate hot-path buffers in a per-detector "
-                        "arena (docs/MEMORY.md); --no-arena reverts to "
-                        "per-frame allocation")
     stream.add_argument("--scales", type=float, nargs="+",
                         default=[1.0, 1.2])
     stream.add_argument("--json", action="store_true",
@@ -719,11 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="conv-cascade",
                        help="the window scorer; conv-cascade, the "
                        "early-reject cascade, is the only one")
-    serve.add_argument("--arena", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="preallocate hot-path buffers in a per-detector "
-                       "arena (docs/MEMORY.md); --no-arena reverts to "
-                       "per-frame allocation")
     serve.add_argument("--scales", type=float, nargs="+",
                        default=[1.0, 1.2])
     serve.set_defaults(func=_cmd_serve)

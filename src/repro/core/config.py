@@ -24,9 +24,6 @@ class DetectorConfig:
         Pyramid scales for full-frame detection (paper hardware: two).
     strategy:
         ``"feature"`` (the paper's method) or ``"image"`` (conventional).
-    scaling_mode:
-        Surface for feature resampling, ``"blocks"`` or ``"cells"``
-        (see :class:`repro.hog.scaling.FeatureScaler`).
     chained_pyramid:
         True (hardware-faithful, Figure 6) derives each feature-pyramid
         level from the previous one; False resamples every level from
@@ -63,8 +60,6 @@ class DetectorConfig:
     train: TrainOptions = dataclasses.field(default_factory=TrainOptions)
     scales: tuple[float, ...] = (1.0, 1.2)
     strategy: str = "feature"
-    scaling_mode: str = "blocks"
-    renormalize_scaled: bool = True
     chained_pyramid: bool = True
     threshold: float = 0.0
     stride: int = 1
@@ -75,8 +70,6 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         validate_choice(self.strategy, ("feature", "image"), "strategy")
-        validate_choice(self.scaling_mode, ("blocks", "cells"),
-                        "scaling_mode")
         if not self.scales:
             raise ParameterError("scales must be non-empty")
         if any(s <= 0 for s in self.scales):

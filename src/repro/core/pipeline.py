@@ -81,11 +81,10 @@ class MultiScalePedestrianDetector:
                 f"HOG descriptor length {self.config.hog.descriptor_length}"
             )
         self.model = model
-        self.scaler = FeatureScaler(
-            mode=self.config.scaling_mode,
-            renormalize=self.config.renormalize_scaled,
-            telemetry=self.telemetry,
-        )
+        # The paper's block-grid resampling, each resampled block
+        # vector normalized again.
+        self.scaler = FeatureScaler(renormalize=True,
+                                    telemetry=self.telemetry)
         # One arena per detector instance — the single-owner contract of
         # docs/MEMORY.md.  This detector owns its extractor, so (under
         # the feature strategy, which extracts exactly once per frame)

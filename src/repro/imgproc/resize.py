@@ -122,10 +122,14 @@ def resize(
     out_h, out_w = int(out_shape[0]), int(out_shape[1])
     if out_h <= 0 or out_w <= 0:
         raise ParameterError(f"out_shape must be positive, got {out_shape}")
-    arr = as_float_image(image)
+    return _resample(as_float_image(image), out_h, out_w, method)
+
+
+def _resample(arr: np.ndarray, out_h: int, out_w: int,
+              method: Interpolation) -> np.ndarray:
+    """Resample the first two axes of ``arr``, rows then columns."""
     arr = _interp_axis(arr, out_h, axis=0, method=method)
-    arr = _interp_axis(arr, out_w, axis=1, method=method)
-    return arr
+    return _interp_axis(arr, out_w, axis=1, method=method)
 
 
 def resize_grid(
@@ -159,9 +163,7 @@ def resize_grid(
                 arr = np.moveaxis(
                     np.zeros((out_len,) + moved.shape[1:]), 0, axis)
         return arr
-    arr = _interp_axis(arr, out_h, axis=0, method=method)
-    arr = _interp_axis(arr, out_w, axis=1, method=method)
-    return arr
+    return _resample(arr, out_h, out_w, method)
 
 
 def rescale(
@@ -178,6 +180,9 @@ def rescale(
     """
     if scale <= 0:
         raise ParameterError(f"scale must be positive, got {scale}")
-    h, w = image.shape[:2]
-    out_shape = (max(1, round(h * scale)), max(1, round(w * scale)))
-    return resize(image, out_shape, method=method)
+    if isinstance(method, str):
+        method = Interpolation(method)
+    arr = as_float_image(image)
+    h, w = arr.shape[:2]
+    return _resample(arr, max(1, round(h * scale)), max(1, round(w * scale)),
+                     method)

@@ -11,8 +11,8 @@ keep all ordering, fault and backpressure semantics on their own side.
 Start method: ``fork`` where the platform offers it (cheapest warm
 start — the child inherits the imported NumPy), else ``spawn``; the
 ``REPRO_MP_START`` environment variable overrides.  The stream
-pipeline builds its pool *before* it starts its own producer/intake
-threads, so the fork-with-threads hazard does not arise there.
+pipeline builds its pool *before* it starts its own producer thread,
+so the fork-with-threads hazard does not arise there.
 """
 
 from __future__ import annotations
@@ -196,8 +196,8 @@ class ProcessWorkerPool:
         """Move one frame into a ring slot (or pickle it).
 
         Blocks while the ring is full (that is the backpressure that
-        keeps the bounded intake queue, not the ring, the policy
-        point); raises :class:`~repro.errors.ParallelError` if no slot
+        keeps the admission quota, not the ring, the policy point);
+        raises :class:`~repro.errors.ParallelError` if no slot
         frees before ``deadline`` or the workers died.
         """
         if not ring.fits(frame):

@@ -17,18 +17,15 @@ anyone else.
 
 Backpressure
 ------------
-Admission control reuses the
-:class:`~repro.stream.types.BackpressurePolicy` vocabulary of the
-bounded frame queue, applied per session against a ``max_pending``
-quota (frames admitted but not yet emitted):
-
-* ``block`` — ``submit`` awaits until the backlog shrinks; lossless.
-* ``drop-oldest`` — the oldest *queued* frame is evicted (it still
-  yields an in-order ``DROPPED`` result) to admit the newcomer.  When
-  every pending frame is already on a worker there is nothing to evict
-  and the newcomer is refused instead.
-* ``drop-newest`` — the newcomer is refused outright (the HTTP layer
-  maps this to a 429 response); queued frames keep their place.
+Each session admits frames through its own
+:class:`~repro.stream.ledger.AdmissionCore`, the one implementation of
+block / drop-oldest / drop-newest the stream pipeline also runs,
+against a ``max_pending`` quota (frames admitted but not yet emitted).
+``block`` awaits room; ``drop-oldest`` evicts the oldest frame no
+worker holds, else refuses the newcomer; ``drop-newest`` refuses the
+newcomer (the HTTP layer maps a refusal to a 429 response).  The
+``max_fps`` cap is the one refusal the service adds: a throttled frame
+is refused under every policy.
 
 Refusals are not silent: a refused frame consumes a sequence number and
 produces a ``DROPPED`` result, so a client that counts results can
@@ -38,7 +35,7 @@ Execution
 ---------
 Each pool is one of the executors of :mod:`repro.parallel.executor` —
 the same two :class:`~repro.stream.StreamPipeline` runs — and each
-session settles its frames in an
+session's core settles its frames in an
 :class:`~repro.stream.ledger.OrderedLedger`, the stream collector's
 reorder-and-account core.
 
@@ -64,7 +61,7 @@ from repro.errors import ParameterError, ServeError
 from repro.parallel.executor import ProcessExecutor, ThreadExecutor
 from repro.parallel.spec import DetectorSpec
 from repro.serve.types import ServeReport, SessionReport, SubmitTicket
-from repro.stream.ledger import OrderedLedger
+from repro.stream.ledger import AdmissionCore
 from repro.stream.types import (
     BackpressurePolicy,
     ExecutionBackend,
@@ -109,19 +106,12 @@ class ServeSession:
         self._last_tick = time.monotonic()
         self._service = service
         self._pool_key = pool_key
-        self._next_seq = 0
-        self._waiting: collections.deque = collections.deque()
-        self._ledger = OrderedLedger()
-        self._t0: dict[int, float] = {}
+        self._core = AdmissionCore(max_pending, policy)
         self._out: asyncio.Queue = asyncio.Queue()
         self._space = asyncio.Event()
         self._space.set()
         self._drained = asyncio.Event()
-        self._closed = False
         self._done = False
-        self._dropped_as = dict.fromkeys(
-            ("rejected", "evicted", "throttled"), 0
-        )
 
     # -- submission ------------------------------------------------------
 
@@ -156,42 +146,38 @@ class ServeSession:
         for space; under the lossy policies it returns immediately and
         the ticket says whether the *submitted* frame was accepted.
         """
-        if self._closed:
+        core = self._core
+        if core.closed:
             raise ServeError(f"session {self.id} is closed")
         service = self._service
         if not service.ready:
             raise ServeError("service is draining; no new frames")
         if self.policy is BackpressurePolicy.BLOCK:
-            while self.pending >= self.max_pending and not self._closed:
+            while core.full and not core.closed:
                 self._space.clear()
                 await self._space.wait()
-            if self._closed:
+            if core.closed:
                 raise ServeError(f"session {self.id} is closed")
-        telemetry = service.telemetry
-        seq = self._next_seq
-        self._next_seq += 1
-        self._t0[seq] = time.perf_counter()
+        refuse = "throttled" if self._throttled_now() else None
+        seq, refused, evicted = core.admit(np.asarray(frame), refuse=refuse)
         service._counts["submitted"] += 1
-        if telemetry.enabled:
-            telemetry.inc("serve.frames_submitted")
-            telemetry.observe("serve.queue_depth", float(self.pending))
-        if self._throttled_now():
-            self._drop(seq, "throttled")
-            return SubmitTicket(seq=seq, accepted=False,
-                                reason="throttled")
-        if self.pending > self.max_pending:
-            if (self.policy is BackpressurePolicy.DROP_OLDEST
-                    and self._waiting):
-                self._drop(self._waiting.popleft()[0], "evicted")
-            else:
-                # drop-newest, or drop-oldest with every pending frame
-                # already on a worker: refuse the newcomer.
-                self._drop(seq, "rejected")
-                return SubmitTicket(seq=seq, accepted=False,
-                                    reason="saturated")
-        self._waiting.append((seq, np.asarray(frame)))
-        service._wake.set()
-        return SubmitTicket(seq=seq, accepted=True)
+        if service.telemetry.enabled:
+            service.telemetry.inc("serve.frames_submitted")
+            service.telemetry.observe("serve.queue_depth",
+                                      float(core.pending))
+        if evicted is not None:
+            self._tally("evicted")
+        if refused is not None:
+            self._tally(refused)
+        else:
+            service._wake.set()
+        self._emit()
+        if refused is None:
+            return SubmitTicket(seq=seq, accepted=True)
+        return SubmitTicket(
+            seq=seq, accepted=False,
+            reason="saturated" if refused == "rejected" else refused,
+        )
 
     # -- results ---------------------------------------------------------
 
@@ -246,7 +232,7 @@ class ServeSession:
     @property
     def pending(self) -> int:
         """Frames admitted but not yet emitted."""
-        return self._next_seq - self._ledger.next_seq
+        return self._core.pending
 
     # -- lifecycle -------------------------------------------------------
 
@@ -258,55 +244,59 @@ class ServeSession:
         as evictions) but still waits for frames already on a worker —
         in-flight work cannot be recalled.
         """
-        if not self._closed:
-            self._closed = True
+        if not self._core.closed:
+            for _ in self._core.close(drain):
+                self._tally("evicted")
             self._space.set()  # release blocked submitters to the raise
-            if not drain:
-                while self._waiting:
-                    self._drop(self._waiting.popleft()[0], "evicted")
-            if self.pending == 0 and not self._drained.is_set():
-                self._drained.set()
-                self._out.put_nowait(_DONE)
+            self._emit()
         await self._drained.wait()
         self._service._on_session_closed(self)
         return self.report()
 
     def report(self) -> SessionReport:
+        core = self._core
+        counts = core.ledger.counts
         return SessionReport(
             session=self.id,
             policy=self.policy.value,
             max_pending=self.max_pending,
-            submitted=self._next_seq,
-            ok=self._ledger.counts[FrameStatus.OK],
-            failed=self._ledger.counts[FrameStatus.FAILED],
-            dropped=self._ledger.counts[FrameStatus.DROPPED],
-            rejected=self._dropped_as["rejected"],
-            evicted=self._dropped_as["evicted"],
-            throttled=self._dropped_as["throttled"],
+            submitted=core.submitted,
+            ok=counts[FrameStatus.OK],
+            failed=counts[FrameStatus.FAILED],
+            dropped=counts[FrameStatus.DROPPED],
+            rejected=core.dropped_as["rejected"],
+            evicted=core.dropped_as["evicted"],
+            throttled=core.dropped_as["throttled"],
             pool=self._pool_key[:12],
         )
 
     # -- internals (event-loop thread only) ------------------------------
 
-    def _drop(self, seq: int, reason: str) -> None:
-        """Settle frame ``seq`` as DROPPED, tallied under ``reason``:
+    def _tally(self, reason: str) -> None:
+        """Count one frame the core dropped for ``reason``:
         ``"rejected"``, ``"evicted"`` or ``"throttled"``."""
-        self._dropped_as[reason] += 1
         self._service._counts[reason] += 1
         if self._service.telemetry.enabled:
             self._service.telemetry.inc(f"serve.frames_{reason}")
-        self._finish(seq, FrameStatus.DROPPED)
 
-    def _finish(self, seq: int, status: FrameStatus | str,
-                result: Any = None,
+    def _abandon(self) -> None:
+        """Drop everything still queued or on a worker as evicted."""
+        for _ in self._core.close(drain=False) + self._core.abandon():
+            self._tally("evicted")
+        self._emit()
+
+    def _finish(self, seq: int, status: str, result: Any = None,
                 error: str | None = None,
                 worker: int | None = None) -> None:
-        """Record one frame's outcome and emit everything now in order."""
-        self._ledger.settle(seq, status, self._t0.pop(seq), result=result,
-                            error=error, worker=worker)
+        """Record one worker outcome and emit everything now in order."""
+        self._core.settle(seq, status, result=result, error=error,
+                          worker=worker)
+        self._emit()
+
+    def _emit(self) -> None:
         service = self._service
         telemetry = service.telemetry
-        while (frame_result := self._ledger.pop()) is not None:
+        while (frame_result := self._core.ledger.pop()) is not None:
             status_i = frame_result.status
             service._counts[status_i.value] += 1
             if telemetry.enabled:
@@ -314,10 +304,10 @@ class ServeSession:
                 if status_i is not FrameStatus.DROPPED:
                     telemetry.observe("serve.latency_ms",
                                       frame_result.latency_s * 1e3)
-            if self.pending < self.max_pending:
+            if not self._core.full:
                 self._space.set()
             self._out.put_nowait(frame_result)
-        if (self._closed and self.pending == 0
+        if (self._core.closed and self._core.pending == 0
                 and not self._drained.is_set()):
             self._drained.set()
             self._out.put_nowait(_DONE)
@@ -473,7 +463,7 @@ class DetectionService:
                 self._pump_task = None
             self._drained_clean = (
                 not self._tags
-                and all(not s._waiting for s in self._sessions.values())
+                and all(not s._core.queued for s in self._sessions.values())
             )
             self._settle_leftovers()
             for pool in self._pools.values():
@@ -500,25 +490,17 @@ class DetectionService:
         """Account every frame shutdown is about to abandon.
 
         Runs after the pump stops and before the pools die: anything
-        still in flight (``_tags``) or queued (``_waiting``) at this
-        point would otherwise disappear from the per-session and
-        service totals.  Each is counted as evicted and finished as a
-        ``DROPPED`` result — the same settlement a no-drain session
-        close applies to its backlog — which also releases any
-        session drain still blocked on a wedged worker.
+        still in flight or queued at this point would otherwise
+        disappear from the per-session and service totals.  Each is
+        counted as evicted and finished as a ``DROPPED`` result — the
+        same settlement a no-drain session close applies to its
+        backlog — which also releases any session drain still blocked
+        on a wedged worker.
         """
-        leftovers: list[tuple[ServeSession, int]] = [
-            (session, seq) for session, seq, _ in self._tags.values()
-        ]
         self._tags.clear()
-        for session in self._sessions.values():
-            while session._waiting:
-                leftovers.append((session, session._waiting.popleft()[0]))
-        for session, seq in leftovers:
-            session._drop(seq, "evicted")
         for session in list(self._sessions.values()):
-            if session._closed:
-                self._on_session_closed(session)
+            session._abandon()
+            self._on_session_closed(session)
 
     @property
     def ready(self) -> bool:
@@ -679,7 +661,7 @@ class DetectionService:
                         worker=worker)
 
     def _waiting_total(self) -> int:
-        return sum(len(s._waiting) for s in self._sessions.values())
+        return sum(s._core.queued for s in self._sessions.values())
 
     async def _pump(self) -> None:
         """Round-robin session backlogs into the pools, forever.
@@ -725,14 +707,14 @@ class DetectionService:
                     for session in ordered:
                         key = session._pool_key
                         pool = self._pools.get(key)
-                        if pool is None or not session._waiting:
+                        if pool is None or not session._core.queued:
                             continue
                         batch = batches.setdefault(key, [])
                         if len(batch) >= self.max_batch:
                             continue
                         if inflight[key] + len(batch) >= pool.capacity:
                             continue
-                        seq, frame = session._waiting.popleft()
+                        [(seq, frame)] = session._core.take(1)
                         tag = self._next_tag
                         self._next_tag += 1
                         self._tags[tag] = (session, seq, key)

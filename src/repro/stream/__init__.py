@@ -5,7 +5,7 @@ The paper's claim is sustained real-time throughput on a *video stream*
 single-frame detector into a continuous stream consumer:
 
 :class:`StreamPipeline`
-    Bounded-queue producer / intake / collector pipeline around
+    Producer / executor / collector pipeline around
     :meth:`repro.core.MultiScalePedestrianDetector.detect` — N workers
     on a :mod:`repro.parallel` executor, explicit backpressure
     (block / drop-oldest / drop-newest),
@@ -15,8 +15,10 @@ single-frame detector into a continuous stream consumer:
 :class:`SyntheticVideoSource` / :class:`ArraySource`
     Deterministic synthetic dash-cam footage (with NaN-frame fault
     injection) and an adapter for any iterable of frames.
-:class:`BoundedFrameQueue`
-    The policy-bearing hand-off queue, usable on its own.
+:class:`AdmissionCore`
+    Sequence numbers, quota, backpressure policy and ordered ledger —
+    the one admission stage under both the stream and
+    :mod:`repro.serve`.
 :class:`ExecutionBackend`
     Worker execution strategy: in-process threads (default) or the
     shared-memory process pool of :mod:`repro.parallel`
@@ -28,7 +30,7 @@ front-end.
 """
 
 from repro.stream.pipeline import StreamPipeline, StreamRun, track_stream
-from repro.stream.queues import CLOSED, BoundedFrameQueue
+from repro.stream.ledger import AdmissionCore
 from repro.stream.sources import ArraySource, FrameSource, SyntheticVideoSource
 from repro.stream.types import (
     BACKENDS,
@@ -47,8 +49,7 @@ __all__ = [
     "FrameResult",
     "FrameStatus",
     "StreamReport",
-    "CLOSED",
-    "BoundedFrameQueue",
+    "AdmissionCore",
     "ArraySource",
     "FrameSource",
     "SyntheticVideoSource",

@@ -1,4 +1,4 @@
-"""The bounded-queue producer / worker / collector frame pipeline.
+"""The producer / executor / collector frame pipeline.
 
 Turns single-frame :meth:`MultiScalePedestrianDetector.detect` calls
 into a continuous, fault-tolerant stream consumer (the form the paper's
@@ -7,22 +7,26 @@ stream architectures of Wasala & Kryjak and Campmany et al. in
 PAPERS.md):
 
 * a **producer** thread reads frames from a
-  :class:`~repro.stream.sources.FrameSource` into a
-  :class:`~repro.stream.queues.BoundedFrameQueue` under an explicit
-  backpressure policy;
-* an **intake** thread moves frames from that queue into an executor
-  (:mod:`repro.parallel.executor`) while fewer than its capacity are
-  in flight; the executor's workers run the detector with per-frame
-  fault isolation — a corrupt frame becomes a
-  ``FrameResult(status=FAILED)`` record, never a dead stream;
+  :class:`~repro.stream.sources.FrameSource` and admits each into an
+  :class:`~repro.stream.ledger.AdmissionCore`, which applies the
+  backpressure policy against the ``queue_size`` quota of frames
+  admitted but not yet emitted;
+* admitted frames go to an executor (:mod:`repro.parallel.executor`)
+  while fewer than its capacity are in flight — dispatched on
+  admission, and again whenever a worker delivers a frame; the
+  executor's workers run the detector with per-frame fault isolation —
+  a corrupt frame becomes a ``FrameResult(status=FAILED)`` record,
+  never a dead stream;
 * the **collector** (the caller's thread, inside :meth:`process`)
-  settles each outcome in an :class:`~repro.stream.ledger.OrderedLedger`,
+  emits from the core's :class:`~repro.stream.ledger.OrderedLedger`,
   which re-orders results by frame index before emission, so
   downstream frame-order consumers (``das.tracking.IouTracker``) can
   read the stream directly, and feeds a configurable
   consecutive-failure circuit breaker.
 
-Threading notes.  Multi-worker mode clones the detector per worker
+Threading notes.  One ``threading.Condition`` guards the core; the
+producer, the executor's delivering threads and the collector each
+take it briefly.  Multi-worker mode clones the detector per worker
 (sharing the read-only SVM model but nothing mutable); per-stage
 ``detect.*``/``hog.*`` telemetry therefore only accumulates in
 single-worker mode, where the one detector instance is used as-is.
@@ -39,27 +43,25 @@ Execution backends.  ``backend="thread"`` (default) runs a
 detect frames staged in shared-memory ring slots.  The service in
 :mod:`repro.serve` runs the same two executors and the same ledger, so
 ordering, DROPPED-gapless emission, per-frame fault isolation and the
-circuit breaker are backend-independent by construction.  The process
-pool outlives individual runs (worker warm start is paid once); call
-:meth:`close` — or use the pipeline as a context manager — to shut it
-down and merge the workers' telemetry snapshots into the parent
-registry.
+circuit breaker are backend-independent by construction, and it
+admits frames through the same core.  The process pool outlives
+individual runs (worker warm start is paid once); call :meth:`close`
+— or use the pipeline as a context manager — to shut it down and
+merge the workers' telemetry snapshots into the parent registry.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import queue as _queue
 import threading
 import time
 from collections.abc import Iterable, Iterator
 from typing import Callable
 
-from repro.errors import CircuitBreakerOpen, ParameterError, StreamError
+from repro.errors import CircuitBreakerOpen, ParameterError
 from repro.parallel.executor import ProcessExecutor, ThreadExecutor
 from repro.parallel.spec import DetectorSpec
-from repro.stream.ledger import OrderedLedger
-from repro.stream.queues import BoundedFrameQueue
+from repro.stream.ledger import AdmissionCore
 from repro.stream.sources import FrameSource
 from repro.stream.types import (
     BackpressurePolicy,
@@ -71,14 +73,11 @@ from repro.stream.types import (
 )
 from repro.telemetry import Histogram, MetricsRegistry, NULL_TELEMETRY
 
-#: Seconds the collector and intake threads wait per poll before
-#: re-checking whether the run ended.
-_POLL_S = 0.05
-
-#: Seconds to wait for threads on shutdown before giving up the join.
+#: Seconds to wait for the producer on shutdown before giving up the
+#: join.
 _JOIN_TIMEOUT_S = 5.0
 
-#: Most frames the process-backend intake coalesces into one
+#: Most frames the process backend coalesces into one
 #: submit_batch (further capped by the executor's capacity, workers+2).
 _DISPATCH_BATCH_CAP = 4
 
@@ -109,7 +108,9 @@ class StreamPipeline:
         dot-products that dominate ``detect``, so modest thread counts
         raise throughput without processes.
     queue_size:
-        Capacity of the frame intake queue.
+        Quota of frames admitted but not yet emitted — queued, on a
+        worker, or awaiting reorder; the ``policy`` decides what
+        happens to a frame that would exceed it.
     policy:
         Backpressure discipline — see
         :class:`~repro.stream.types.BackpressurePolicy`.
@@ -241,8 +242,7 @@ class StreamPipeline:
     # -- Statistics ---------------------------------------------------------
 
     def _reset_stats(self) -> None:
-        self._frames_in = 0
-        self._ledger = OrderedLedger()
+        self._core = AdmissionCore(self.queue_size, self.policy)
         self._latency = Histogram()
         self._depth = Histogram()
         self._busy_s = [0.0] * self.workers
@@ -254,10 +254,10 @@ class StreamPipeline:
         lat = self._latency.summary()
         depth = self._depth.summary()
         elapsed = self._elapsed_s
-        counts = self._ledger.counts
+        counts = self._core.ledger.counts
         emitted = sum(counts.values())
         return StreamReport(
-            frames_in=self._frames_in,
+            frames_in=self._core.submitted,
             frames_ok=counts[FrameStatus.OK],
             frames_failed=counts[FrameStatus.FAILED],
             frames_dropped=counts[FrameStatus.DROPPED],
@@ -283,128 +283,108 @@ class StreamPipeline:
     def process(self, source: FrameSource) -> Iterator[FrameResult]:
         """Yield one :class:`FrameResult` per frame, in frame-index order.
 
-        The generator owns the producer/intake threads: exhausting it
-        (or closing it early with ``break``) always shuts the pipeline
-        down and joins the threads.  Raises
+        The generator owns the producer thread: exhausting it (or
+        closing it early with ``break``) always shuts the pipeline down
+        and joins the thread.  Raises
         :class:`~repro.errors.CircuitBreakerOpen` after emitting the
         failure that tripped the breaker.
         """
         self._reset_stats()
         tm = self.telemetry
-        ledger = self._ledger
+        core = self._core
         # Built (or reused) before any thread of ours starts: with the
         # fork start method, forking from a single-threaded parent is
         # the safe order.
         executor = self._open_executor()
-        in_q = BoundedFrameQueue(self.queue_size, self.policy)
-        settled: _queue.Queue = _queue.Queue()
-        room = threading.Semaphore(executor.capacity)
-        t0s: dict[int, float] = {}
-        abort = threading.Event()
-        producer_done = threading.Event()
+        cond = threading.Condition()
+        producer_done = False
         # Thread workers take one frame per task, so no thread idles
         # while another holds a batch; process tasks coalesce whatever
         # backlog is already queued into one message.
         batch_cap = (min(_DISPATCH_BATCH_CAP, self.workers + 2)
                      if self.backend is ExecutionBackend.PROCESS else 1)
 
-        def deliver(tag, status, result, error, worker, busy_s, cpu_s):
-            if worker is not None:
-                self._busy_s[worker] += busy_s
-                self._cpu_s[worker] += cpu_s
-            settled.put((tag, t0s.pop(tag), status, result, error, worker))
-            room.release()
-
-        def produce() -> None:
-            count = 0
-            try:
-                for image in source:
-                    if abort.is_set():
-                        break
-                    count += 1
-                    self._frames_in = count
-                    if tm.enabled:
-                        tm.inc("stream.frames_in")
-                    try:
-                        displaced = in_q.put(
-                            (count - 1, image, time.perf_counter())
-                        )
-                    except StreamError:
-                        break  # queue closed under us: consumer aborted
-                    if displaced is not None:
-                        settled.put((displaced[0], None, "dropped", None,
-                                     None, None))
-                    self._depth.observe(in_q.depth)
-                    if tm.enabled:
-                        tm.observe("stream.queue_depth", in_q.depth)
-            finally:
-                producer_done.set()
-                in_q.close()
-
-        def intake() -> None:
-            # Moves frames from the policy queue into the executor while
-            # fewer than its capacity are in flight.
-            while True:
-                while not room.acquire(timeout=_POLL_S):
-                    if abort.is_set():
-                        return
-                taken = 1
-                while taken < batch_cap and room.acquire(blocking=False):
-                    taken += 1
-                batch = in_q.get_many(taken)
-                for _ in range(taken - len(batch)):
-                    room.release()
+        def dispatch() -> None:
+            # Under cond, wherever work (an admission) or executor room
+            # (a delivery) appears; submit_batch never blocks.
+            while (room := executor.capacity - core.inflight) > 0:
+                batch = core.take(min(batch_cap, room))
                 if not batch:
                     return
-                for index, _, t0 in batch:
-                    t0s[index] = t0
-                executor.submit_batch(
-                    [(index, image) for index, image, _ in batch]
-                )
+                executor.submit_batch(batch)
+
+        def deliver(tag, status, result, error, worker, busy_s, cpu_s):
+            with cond:
+                if worker is not None:
+                    self._busy_s[worker] += busy_s
+                    self._cpu_s[worker] += cpu_s
+                core.settle(tag, status, result=result, error=error,
+                            worker=worker)
+                dispatch()
+                cond.notify_all()
+
+        def produce() -> None:
+            nonlocal producer_done
+            try:
+                # The source may block between frames, so it is read
+                # outside the lock.
+                for image in source:
+                    with cond:
+                        if self.policy is BackpressurePolicy.BLOCK:
+                            while core.full and not core.closed:
+                                cond.wait()
+                        if core.closed:
+                            break  # the consumer stopped the run
+                        core.admit(image)
+                        self._depth.observe(core.pending)
+                        if tm.enabled:
+                            tm.inc("stream.frames_in")
+                            tm.observe("stream.queue_depth", core.pending)
+                        dispatch()
+                        cond.notify_all()
+            finally:
+                with cond:
+                    producer_done = True
+                    cond.notify_all()
+
+        def next_result() -> tuple[FrameResult | None, int]:
+            with cond:
+                while (fr := core.ledger.pop()) is None:
+                    if producer_done and core.pending == 0:
+                        return None, 0
+                    cond.wait()
+                cond.notify_all()  # an emission frees quota
+                return fr, core.ledger.streak
 
         executor.start(deliver)
-        threads = [
-            threading.Thread(target=produce, name="stream-producer",
-                             daemon=True),
-            threading.Thread(target=intake, name="stream-intake",
-                             daemon=True),
-        ]
+        producer = threading.Thread(target=produce, name="stream-producer",
+                                    daemon=True)
         start_time = time.perf_counter()
         try:
-            for t in threads:
-                t.start()
-            while not (producer_done.is_set()
-                       and ledger.next_seq == self._frames_in):
-                try:
-                    index, t0, status, result, error, worker = settled.get(
-                        timeout=_POLL_S
-                    )
-                except _queue.Empty:
-                    continue
-                ledger.settle(index, status, t0, result=result, error=error,
-                              worker=worker)
-                while (fr := ledger.pop()) is not None:
+            producer.start()
+            while True:
+                fr, streak = next_result()
+                if fr is None:
+                    break
+                if fr.status is not FrameStatus.DROPPED:
+                    self._latency.observe(fr.latency_s)
+                if tm.enabled:
+                    tm.inc(f"stream.frames_{fr.status.value}")
                     if fr.status is not FrameStatus.DROPPED:
-                        self._latency.observe(fr.latency_s)
-                    if tm.enabled:
-                        tm.inc(f"stream.frames_{fr.status.value}")
-                        if fr.status is not FrameStatus.DROPPED:
-                            tm.observe("stream.latency_ms",
-                                       fr.latency_s * 1e3)
-                    yield fr
-                    if (self.max_consecutive_failures is not None
-                            and ledger.streak
-                            >= self.max_consecutive_failures):
-                        raise CircuitBreakerOpen(
-                            f"{ledger.streak} consecutive frames failed "
-                            f"(limit {self.max_consecutive_failures}); "
-                            f"last error: {fr.error}"
-                        )
+                        tm.observe("stream.latency_ms", fr.latency_s * 1e3)
+                yield fr
+                if (self.max_consecutive_failures is not None
+                        and streak >= self.max_consecutive_failures):
+                    raise CircuitBreakerOpen(
+                        f"{streak} consecutive frames failed "
+                        f"(limit {self.max_consecutive_failures}); "
+                        f"last error: {fr.error}"
+                    )
         finally:
-            abort.set()
-            in_q.close(drain=True)
-            for t in threads:
-                t.join(timeout=_JOIN_TIMEOUT_S)
+            with cond:
+                core.close(drain=False)
+                cond.notify_all()
+            producer.join(timeout=_JOIN_TIMEOUT_S)
             if self.backend is ExecutionBackend.THREAD:
                 executor.close()
             # An early exit (circuit breaker, caller break) leaves frames
@@ -412,12 +392,12 @@ class StreamPipeline:
             # past yielding, so they are counted straight into the
             # dropped tally rather than vanishing from the report's
             # reconciliation.
-            abandoned = self._frames_in - ledger.next_seq
-            if abandoned > 0:
-                ledger.counts[FrameStatus.DROPPED] += abandoned
-                if tm.enabled:
-                    tm.inc(f"stream.frames_{FrameStatus.DROPPED.value}",
-                           abandoned)
+            with cond:
+                abandoned = core.pending
+                core.ledger.counts[FrameStatus.DROPPED] += abandoned
+            if abandoned > 0 and tm.enabled:
+                tm.inc(f"stream.frames_{FrameStatus.DROPPED.value}",
+                       abandoned)
             self._elapsed_s = time.perf_counter() - start_time
             if tm.enabled:
                 report = self.report()
@@ -425,7 +405,8 @@ class StreamPipeline:
                 tm.set_gauge("stream.achieved_fps", report.achieved_fps)
                 tm.set_gauge("stream.worker_utilization",
                              report.worker_utilization)
-                tm.set_gauge("stream.queue_depth_max", in_q.depth_peak)
+                tm.set_gauge("stream.queue_depth_max",
+                             report.queue_depth_max)
 
     def run(
         self,

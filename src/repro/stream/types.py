@@ -19,19 +19,22 @@ from repro.validation import validate_choice
 
 
 class BackpressurePolicy(enum.Enum):
-    """What a bounded frame queue does when a producer outruns the workers.
+    """What admission does with a frame that would exceed the quota of
+    frames admitted but not yet emitted
+    (:class:`~repro.stream.ledger.AdmissionCore`).
 
     ``BLOCK``
-        The producer waits for a free slot — no frame is ever lost, but
-        a slow detector stalls capture (lab / offline semantics).
+        The producer waits until a frame is emitted — no frame is ever
+        lost, but a slow detector stalls capture (lab / offline
+        semantics).
     ``DROP_OLDEST``
-        The oldest *queued* frame is evicted to admit the new one — the
-        live-video semantics: stale frames are worthless to a DAS, so
-        latency is bounded at the cost of completeness.
+        The oldest frame no worker holds yet is evicted to admit the
+        new one — the live-video semantics: stale frames are worthless
+        to a DAS, so latency is bounded at the cost of completeness.
+        With every pending frame on a worker, the new one is refused.
     ``DROP_NEWEST``
-        The incoming frame is discarded and the queue left untouched —
-        cheapest under burst load; already-queued frames keep their
-        place.
+        The incoming frame is refused — cheapest under burst load;
+        admitted frames keep their place.
     """
 
     BLOCK = "block"
@@ -144,6 +147,9 @@ class StreamReport:
     ``frames_in == frames_ok + frames_failed + frames_dropped`` for a
     run that drained completely; an aborted run (circuit breaker,
     consumer walked away) may leave frames unaccounted.
+
+    ``queue_depth_max``/``queue_depth_mean`` summarize the frames
+    pending (admitted, not yet emitted) at each admission.
 
     ``worker_cpu_s`` sums the CPU seconds the workers spent detecting,
     next to the wall seconds behind ``worker_utilization``.  A process

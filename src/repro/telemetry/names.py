@@ -225,7 +225,9 @@ NAMES: tuple[TelemetryName, ...] = (
     TelemetryName("stream.latency_ms", "histogram",
                   "source-read to emission latency per frame"),
     TelemetryName("stream.queue_depth", "histogram",
-                  "intake queue depth sampled at each producer put"),
+                  "frames admitted but not yet emitted (queued, in "
+                  "flight or awaiting reorder), sampled at each "
+                  "admission; queue_size is its quota"),
     TelemetryName("stream.workers", "gauge",
                   "worker count of the finished run"),
     TelemetryName("stream.achieved_fps", "gauge",
@@ -233,7 +235,7 @@ NAMES: tuple[TelemetryName, ...] = (
     TelemetryName("stream.worker_utilization", "gauge",
                   "end-of-run worker busy fraction"),
     TelemetryName("stream.queue_depth_max", "gauge",
-                  "peak intake queue depth of the run"),
+                  "peak stream.queue_depth of the run"),
     # -- Detection-as-a-service front end -----------------------------------
     TelemetryName("serve.sessions_opened", "counter",
                   "client sessions opened"),
@@ -264,7 +266,9 @@ NAMES: tuple[TelemetryName, ...] = (
     TelemetryName("serve.batch.multi_frame", "counter",
                   "dispatch batches that coalesced more than one frame"),
     TelemetryName("serve.queue_depth", "histogram",
-                  "session backlog sampled at each admission"),
+                  "frames a session admitted but has not yet emitted, "
+                  "sampled at each admission; max_pending is its "
+                  "quota"),
     TelemetryName("serve.latency_ms", "histogram",
                   "submit-to-emission latency per served frame"),
     TelemetryName("serve.inflight", "gauge",

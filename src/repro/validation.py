@@ -103,8 +103,14 @@ def ensure_grayscale(image: np.ndarray, *, name: str = "image") -> np.ndarray:
 def require_min_size(
     image: np.ndarray, min_height: int, min_width: int, *, name: str = "image"
 ) -> None:
-    """Raise :class:`ImageError` if ``image`` is smaller than the minimum."""
-    h, w = image.shape[:2]
+    """Raise :class:`ImageError` if ``image`` is smaller than the minimum
+    or has fewer than two dimensions."""
+    shape = np.shape(image)
+    if len(shape) < 2:
+        raise ImageError(
+            f"{name} must be at least 2-D, got {len(shape)}-D shape {shape}"
+        )
+    h, w = shape[:2]
     if h < min_height or w < min_width:
         raise ImageError(
             f"{name} is {h}x{w}; the operation requires at least "

@@ -29,10 +29,6 @@ class TestDetectorConfig:
         with pytest.raises(ParameterError, match="strategy"):
             DetectorConfig(strategy="cascade")
 
-    def test_rejects_bad_scaling_mode(self):
-        with pytest.raises(ParameterError, match="scaling_mode"):
-            DetectorConfig(scaling_mode="pixels")
-
 
 class TestTraining:
     def test_train_default_classifies_training_data(self, tiny_dataset, detector):

@@ -5,6 +5,10 @@
   shared-memory segment;
 * :class:`OrderedLedger`: every sequence number emitted once, in order,
   with counts and a failure streak that match a sequential reference;
+* :class:`AdmissionCore`, as a state machine over admit / take /
+  settle / close(drain) under each policy: in-order emission of every
+  number, the quota, no eviction of a frame a worker holds, and
+  ``submitted == ok + failed + dropped`` once drained;
 * a worker that fails to start loses no frame, on every front end ×
   backend pair.
 """
@@ -20,13 +24,26 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 import repro.parallel.worker
 from repro.core import DetectorConfig, MultiScalePedestrianDetector
 from repro.errors import CircuitBreakerOpen, StreamError
 from repro.parallel import DetectorSpec, ProcessExecutor, ThreadExecutor
 from repro.serve import DetectionService
-from repro.stream import ArraySource, FrameStatus, StreamPipeline
+from repro.stream import (
+    AdmissionCore,
+    ArraySource,
+    BackpressurePolicy,
+    FrameStatus,
+    StreamPipeline,
+)
 from repro.stream import pipeline as pipeline_module
 from repro.stream.ledger import OrderedLedger
 from repro.telemetry import MetricsRegistry
@@ -233,6 +250,95 @@ def test_ledger_emits_each_seq_once_in_order(data, statuses):
     assert streaks == reference
     assert all((fr.latency_s == 0.0) == (fr.status is FrameStatus.DROPPED)
                for fr in emitted)
+
+
+# -- AdmissionCore -------------------------------------------------------------
+
+class AdmissionMachine(RuleBasedStateMachine):
+    """admit / take / settle / emit / close(drain) under each policy.
+
+    A ``block`` caller waits while the core is full (both front ends
+    do), so the machine admits under ``block`` only when there is room.
+    """
+
+    @initialize(quota=st.integers(1, 4),
+                policy=st.sampled_from(list(BackpressurePolicy)))
+    def open(self, quota, policy):
+        self.core = AdmissionCore(quota, policy)
+        self.accepted: set[int] = set()
+        self.taken: set[int] = set()
+        self.evicted: set[int] = set()
+        self.held: list[int] = []
+        self.emitted: list[int] = []
+
+    @precondition(lambda self: not self.core.closed)
+    @rule()
+    def admit(self):
+        core = self.core
+        if core.policy is BackpressurePolicy.BLOCK and core.full:
+            return
+        seq, refused, evicted = core.admit(f"frame-{core.submitted}")
+        if evicted is not None:
+            self.evicted.add(evicted)
+            self.accepted.discard(evicted)
+        if refused is None:
+            self.accepted.add(seq)
+        # Refused and evicted frames await emission too; what the
+        # quota bounds is every frame the core accepted and has not
+        # emitted, and under block (no refusals) that is ``pending``.
+        assert len(self.accepted - set(self.emitted)) <= core.quota
+        if core.policy is BackpressurePolicy.BLOCK:
+            assert core.pending <= core.quota
+
+    @rule(n=st.integers(1, 3))
+    def take(self, n):
+        for seq, frame in self.core.take(n):
+            assert frame == f"frame-{seq}"
+            self.taken.add(seq)
+            self.held.append(seq)
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data(), status=st.sampled_from(["ok", "failed"]))
+    def settle(self, data, status):
+        seq = self.held.pop(data.draw(st.integers(0, len(self.held) - 1)))
+        self.core.settle(seq, status)
+
+    @rule()
+    def emit(self):
+        while (fr := self.core.ledger.pop()) is not None:
+            self.emitted.append(fr.index)
+
+    @precondition(lambda self: not self.core.closed)
+    @rule(drain=st.booleans())
+    def close(self, drain):
+        self.evicted.update(self.core.close(drain))
+
+    @invariant()
+    def evicted_frames_never_reached_a_worker(self):
+        assert not self.evicted & self.taken
+
+    @invariant()
+    def emitted_once_in_order(self):
+        assert self.emitted == list(range(len(self.emitted)))
+
+    def teardown(self):
+        core = self.core
+        core.close()
+        for seq, _ in core.take(core.queued):
+            core.settle(seq, "ok")
+        for seq in self.held:
+            core.settle(seq, "failed")
+        self.emit()
+        assert self.emitted == list(range(core.submitted))
+        assert core.pending == 0
+        counts = core.ledger.counts
+        assert core.submitted == sum(counts.values())
+        assert counts[FrameStatus.DROPPED] == sum(core.dropped_as.values())
+
+
+AdmissionMachine.TestCase.settings = settings(max_examples=150,
+                                              deadline=None)
+TestAdmissionMachine = AdmissionMachine.TestCase
 
 
 # -- A worker that fails to start ----------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import ImageError, ParameterError
 from repro.imgproc import Interpolation, rescale, resize, resize_grid
 
 
@@ -100,6 +100,13 @@ class TestRescale:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ParameterError, match="positive"):
             rescale(np.zeros((4, 4)), 0.0)
+
+    @pytest.mark.parametrize("image", [np.zeros(5), np.array(3.0),
+                                       [1.0, 2.0, 3.0]],
+                             ids=["1-d", "0-d", "list"])
+    def test_rejects_non_image_input(self, image):
+        with pytest.raises(ImageError, match="2-D or 3-D"):
+            rescale(image, 2.0)
 
 
 class TestResizeGrid:

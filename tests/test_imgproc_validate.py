@@ -82,3 +82,10 @@ class TestRequireMinSize:
     def test_rejects_too_small(self):
         with pytest.raises(ImageError, match="at least"):
             require_min_size(np.zeros((7, 8)), 8, 8)
+
+    @pytest.mark.parametrize("image", [np.zeros(5), np.array(3.0),
+                                       [1.0, 2.0, 3.0]],
+                             ids=["1-d", "0-d", "list"])
+    def test_rejects_fewer_than_two_dimensions(self, image):
+        with pytest.raises(ImageError, match="at least 2-D"):
+            require_min_size(image, 1, 1)

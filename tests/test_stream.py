@@ -1,128 +1,191 @@
-"""Unit tests for the stream primitives: queue, sources, record types."""
+"""Unit tests for the stream primitives: admission, sources, record types."""
 
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError, StreamError
 from repro.stream import (
+    AdmissionCore,
     ArraySource,
     BackpressurePolicy,
-    BoundedFrameQueue,
-    CLOSED,
     FrameResult,
     FrameSource,
     FrameStatus,
+    StreamPipeline,
     StreamReport,
     SyntheticVideoSource,
 )
+from repro.telemetry import MetricsRegistry
 
 
-class TestBoundedFrameQueue:
+class TestAdmissionCore:
     def test_fifo_order(self):
-        q = BoundedFrameQueue(4)
-        for i in range(3):
-            q.put(i)
-        assert [q.get(), q.get(), q.get()] == [0, 1, 2]
+        core = AdmissionCore(4)
+        for name in "abc":
+            core.admit(name)
+        assert core.take(3) == [(0, "a"), (1, "b"), (2, "c")]
 
-    def test_rejects_bad_maxsize(self):
-        with pytest.raises(ParameterError, match="maxsize"):
-            BoundedFrameQueue(0)
+    def test_rejects_bad_quota(self):
+        with pytest.raises(ParameterError, match="quota"):
+            AdmissionCore(0)
 
     def test_drop_oldest_displaces_head(self):
-        q = BoundedFrameQueue(2, BackpressurePolicy.DROP_OLDEST)
-        assert q.put("a") is None
-        assert q.put("b") is None
-        assert q.put("c") == "a"
-        assert q.dropped == 1
-        assert q.get() == "b"
+        core = AdmissionCore(2, BackpressurePolicy.DROP_OLDEST)
+        assert core.admit("a") == (0, None, None)
+        assert core.admit("b") == (1, None, None)
+        assert core.admit("c") == (2, None, 0)
+        assert core.dropped_as["evicted"] == 1
+        assert core.take(1) == [(1, "b")]
+
+    def test_drop_oldest_refuses_when_workers_hold_every_frame(self):
+        core = AdmissionCore(1, "drop-oldest")
+        core.admit("a")
+        core.take(1)
+        assert core.admit("b") == (1, "rejected", None)
+        assert core.dropped_as == {"rejected": 1, "evicted": 0,
+                                   "throttled": 0}
 
     def test_drop_newest_rejects_incoming(self):
-        q = BoundedFrameQueue(2, "drop-newest")
-        q.put("a")
-        q.put("b")
-        assert q.put("c") == "c"
-        assert q.dropped == 1
-        assert q.get() == "a"
+        core = AdmissionCore(2, "drop-newest")
+        core.admit("a")
+        core.admit("b")
+        assert core.admit("c") == (2, "rejected", None)
+        assert core.dropped_as["rejected"] == 1
+        assert core.take(1) == [(0, "a")]
 
-    def test_block_policy_waits_for_space(self):
-        q = BoundedFrameQueue(1, BackpressurePolicy.BLOCK)
-        q.put("a")
-        done = threading.Event()
+    def test_block_policy_full_until_emission(self):
+        core = AdmissionCore(1, BackpressurePolicy.BLOCK)
+        core.admit("a")
+        assert core.full
+        [(seq, _)] = core.take(1)
+        core.settle(seq, "ok")
+        assert core.full  # settled, but the quota frees at emission
+        assert core.ledger.pop().index == 0
+        assert not core.full
+        # A caller that admits anyway is refused, never over quota.
+        core.admit("b")
+        assert core.admit("c") == (2, "rejected", None)
 
-        def produce():
-            q.put("b")  # blocks until the consumer makes room
-            done.set()
+    def test_close_with_drain_keeps_backlog(self):
+        core = AdmissionCore(2)
+        core.admit("a")
+        core.close()
+        assert core.take(2) == [(0, "a")]  # workers drain the backlog
+        assert core.take(2) == []
 
-        t = threading.Thread(target=produce, daemon=True)
-        t.start()
-        time.sleep(0.05)
-        assert not done.is_set()
-        assert q.get() == "a"
-        t.join(timeout=2.0)
-        assert done.is_set()
-        assert q.dropped == 0
+    def test_close_with_drain_evicts_nothing(self):
+        core = AdmissionCore(4)
+        core.admit("a")
+        assert core.close() == []
+        assert core.dropped_as["evicted"] == 0
+        assert core.queued == 1
 
-    def test_get_on_closed_empty_returns_sentinel(self):
-        q = BoundedFrameQueue(2)
-        q.put("a")
-        q.close()
-        assert q.get() == "a"  # drains backlog first
-        assert q.get() is CLOSED
-
-    def test_put_on_closed_raises(self):
-        q = BoundedFrameQueue(2)
-        q.close()
+    def test_admit_on_closed_raises(self):
+        core = AdmissionCore(2)
+        core.close()
         with pytest.raises(StreamError, match="closed"):
-            q.put("a")
+            core.admit("a")
 
-    def test_close_wakes_blocked_producer(self):
-        q = BoundedFrameQueue(1)
-        q.put("a")
-        error = []
+    def test_close_without_drain_evicts_backlog(self):
+        core = AdmissionCore(4)
+        core.admit("a")
+        core.admit("b")
+        # The eviction is not silent: each frame settles DROPPED and
+        # is counted.
+        assert core.close(drain=False) == [0, 1]
+        assert core.take(2) == []
+        assert core.dropped_as["evicted"] == 2
+        assert [core.ledger.pop().status for _ in range(2)] == \
+            [FrameStatus.DROPPED] * 2
 
-        def produce():
-            try:
-                q.put("b")
-            except StreamError as exc:
-                error.append(exc)
+    def test_abandon_drops_held_frames(self):
+        core = AdmissionCore(4)
+        core.admit("a")
+        core.admit("b")
+        core.take(1)
+        assert core.abandon() == [0]
+        assert core.inflight == 0 and core.queued == 1
+        assert core.ledger.pop().status is FrameStatus.DROPPED
 
-        t = threading.Thread(target=produce, daemon=True)
-        t.start()
+
+class _SlowDetector:
+    """Stands in for a detector: sleeps, then finds nothing."""
+
+    def detect(self, frame):
         time.sleep(0.05)
-        q.close()
-        t.join(timeout=2.0)
-        assert error, "blocked put() did not wake on close()"
+        return types.SimpleNamespace(detections=())
 
-    def test_close_drain_discards_backlog(self):
-        q = BoundedFrameQueue(4)
-        q.put("a")
-        q.put("b")
-        discarded = q.close(drain=True)
-        assert q.get() is CLOSED
-        # The drain is not silent: the discarded backlog is returned
-        # for the caller to account and counted as dropped.
-        assert discarded == ["a", "b"]
-        assert q.dropped == 2
 
-    def test_close_without_drain_returns_nothing_counts_nothing(self):
-        q = BoundedFrameQueue(4)
-        q.put("a")
-        assert q.close() == []
-        assert q.dropped == 0
-        assert q.get() == "a"
-        assert q.get() is CLOSED
+class _InstantDetector:
+    def detect(self, frame):
+        return types.SimpleNamespace(detections=())
 
-    def test_depth_peak_tracks_high_water_mark(self):
-        q = BoundedFrameQueue(4)
-        q.put("a")
-        q.put("b")
-        q.get()
-        q.put("c")
-        assert q.depth == 2
-        assert q.depth_peak == 2
+
+class TestStreamAdmission:
+    @pytest.mark.parametrize("policy", list(BackpressurePolicy))
+    def test_stress_more_workers_than_cores(self, policy):
+        # Producer, four workers and the collector contend for the one
+        # condition at a tiny switch interval; a lost update would
+        # show as a gap, a repeat or a stall.
+        n = 400
+        box = {}
+        pipeline = StreamPipeline(detector_factory=_InstantDetector,
+                                  workers=4, queue_size=3, policy=policy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(
+                target=lambda: box.setdefault("run", pipeline.run(
+                    ArraySource([np.zeros((4, 4))] * n))),
+                daemon=True)
+            thread.start()
+            thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "stream stalled"
+        run = box["run"]
+        r = run.report
+        assert [fr.index for fr in run.results] == list(range(n))
+        assert r.frames_in == n
+        assert r.frames_ok + r.frames_dropped == n
+        if policy is BackpressurePolicy.BLOCK:
+            assert r.frames_ok == n
+
+    def test_break_wakes_a_blocked_producer(self):
+        pipeline = StreamPipeline(detector_factory=_SlowDetector,
+                                  queue_size=1)
+        frames = [np.zeros((8, 8))] * 6
+        for _ in pipeline.process(ArraySource(frames)):
+            break  # the producer is waiting for quota here
+        assert not [t for t in threading.enumerate()
+                    if t.name == "stream-producer"]
+
+    def test_queue_depth_max_is_the_peak_pending(self):
+        registry = MetricsRegistry()
+        pipeline = StreamPipeline(detector_factory=_SlowDetector,
+                                  queue_size=3, telemetry=registry)
+        run = pipeline.run(ArraySource([np.zeros((8, 8))] * 6))
+        assert run.report.queue_depth_max == 3
+        assert registry.snapshot().gauges["stream.queue_depth_max"] == 3
+
+    def test_producer_is_the_only_stream_thread(self):
+        seen = set()
+        pipeline = StreamPipeline(detector_factory=_SlowDetector,
+                                  workers=2, queue_size=2)
+        pipeline.run(
+            ArraySource([np.zeros((8, 8))] * 4),
+            on_result=lambda fr: seen.update(
+                t.name for t in threading.enumerate()
+                if t.name.startswith("stream-")
+                and not t.name.startswith("stream-worker-")
+            ),
+        )
+        assert seen <= {"stream-producer"}
 
 
 class TestSources:
