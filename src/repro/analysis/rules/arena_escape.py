@@ -27,7 +27,7 @@ Findings:
 * returning/yielding a *derived* view of a borrowed ``out=`` slab —
   returning the ``out`` parameter itself or a whole-object alias of
   it (the numpy ``out=`` idiom) and returning a fresh same-frame loan
-  (the ``_cells_dest`` allocator idiom, where caller and loan share
+  (the ``_blocks_dest`` allocator idiom, where caller and loan share
   the frame) are allowed;
 * a nested function or lambda capturing a loan-bound name.
 

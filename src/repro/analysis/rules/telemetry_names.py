@@ -36,6 +36,7 @@ RECORD_METHODS: dict[str, str] = {
     "observe": "histogram",
     "span": "span",
     "timer": "span",
+    "record_span": "span",
 }
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.telemetry import MetricsRegistry, NULL_TELEMETRY
 
-__all__ = ["BufferArena"]
+__all__ = ["BufferArena", "scratch"]
 
 
 class BufferArena:
@@ -177,3 +177,16 @@ class BufferArena:
             f"bytes={self.slab_bytes}, hits={self.hits}, "
             f"misses={self.misses}, resizes={self.resizes})"
         )
+
+
+def scratch(
+    arena: BufferArena | None,
+    name: str,
+    shape: tuple[int, ...],
+    dtype: np.dtype | type | str = np.float64,
+) -> np.ndarray:
+    """Uninitialised scratch: the ``name`` slab of ``arena``, or, without
+    an arena, a fresh array."""
+    if arena is None:
+        return np.empty(shape, dtype=dtype)
+    return arena.get(name, shape, dtype)

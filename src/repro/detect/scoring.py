@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.arena import scratch
 from repro.errors import ParameterError, ShapeError
 from repro.svm.model import LinearSvmModel
 from repro.telemetry import MetricsRegistry, NULL_TELEMETRY
@@ -445,9 +446,12 @@ def score_blocks_cascade(
     use.
 
     ``arena``, when given, is a :class:`~repro.arena.BufferArena`
-    backing the partial-score tensor (``detect.partial``) and the score
-    grid (``detect.scores``), bitwise identical to the allocating path;
-    the returned grid is then valid only until the arena's next
+    backing the partial-score tensor (``detect.partial``), the score
+    grid (``detect.scores``, where stage 0 builds its bounds) and the
+    stage-0 scratch (``detect.sq_norms``, ``detect.norms``,
+    ``detect.brc``, ``detect.brc_rows``, ``detect.bound_slack``,
+    ``detect.alive``), bitwise identical to the allocating path; the
+    returned grid is then valid only until the arena's next
     ``detect.scores`` request.
     """
     _validate_grid(blocks, plan, stride)
@@ -465,13 +469,21 @@ def score_blocks_cascade(
     dest = _scores_dest(arena, rows, cols, stride)
     with telemetry.span(agg_span or "detect.cascade_aggregate"):
         bound0, brc, slack = _cascade_bounds(
-            blocks, plan, threshold, stride, rows, cols
+            blocks, plan, threshold, stride, rows, cols, arena, dest
         )
-        # Stage 0: reject on the bound alone.  ``~(... <= ...)`` keeps
-        # NaN-poisoned anchors alive so corrupt data falls through to
-        # the dense accumulation and propagates exactly.
-        alive = None if bound0 is None \
-            else ~(bound0 + slack <= threshold)
+        # Stage 0: reject on the bound alone.  ``not (... <= ...)``
+        # keeps NaN-poisoned anchors alive so corrupt data falls
+        # through to the dense accumulation and propagates exactly.
+        alive = None
+        if bound0 is not None:
+            alive = scratch(arena, "detect.alive", bound0.shape,
+                                   bool)
+            np.less_equal(
+                np.add(bound0, slack, out=scratch(
+                    arena, "detect.bound_slack", bound0.shape)),
+                threshold, out=alive,
+            )
+            np.logical_not(alive, out=alive)
         if alive is None or alive.all():
             # Stage 0 rejected nothing — a fully textured frame, where
             # unit block norms keep the tail bound fat for the entire
@@ -504,13 +516,6 @@ def score_blocks_cascade(
                 partial, plan, threshold, stride, cascade_k, rows, cols,
                 bound0, brc, slack, alive,
             )
-        if dest is not None and scores is not dest:
-            # The bound/cascade paths accumulate into ``bound0``; copy
-            # the finished grid into the arena's slab so the result
-            # lives in ``detect.scores`` on every branch.  An exact
-            # copy — bitwise identity holds.
-            np.copyto(dest, scores)
-            scores = dest
     if telemetry.enabled:
         telemetry.inc("detect.cascade.anchors_in", stats["anchors_in"])
         telemetry.inc("detect.cascade.anchors_survived",
@@ -565,6 +570,8 @@ def _cascade_bounds(
     stride: int,
     rows: int,
     cols: int,
+    arena: BufferArena | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Stage-0 score bounds: ``(bound0, brc, slack)``.
 
@@ -591,8 +598,15 @@ def _cascade_bounds(
     no anchor can reject and ``(None, None, slack)`` is returned —
     the quick guard that prices the cascade at one ``O(grid)`` norm
     pass plus two line reductions on busy scenes.
+
+    With ``arena`` the grid-sized temporaries live in its
+    ``detect.sq_norms``, ``detect.norms``, ``detect.brc`` and
+    ``detect.brc_rows`` slabs, and ``bound0`` is built in ``out`` (the
+    score grid's slab), so a warm call allocates nothing grid-sized.
     """
-    sq_norms = np.einsum("ijk,ijk->ij", blocks, blocks)
+    sq_norms = np.einsum("ijk,ijk->ij", blocks, blocks,
+                         out=scratch(arena, "detect.sq_norms",
+                                            blocks.shape[:2]))
     sq_norms = sq_norms[:rows + plan.blocks_y - 1,
                         :cols + plan.blocks_x - 1]
     tail0 = float(plan.tail_norms[0])
@@ -605,11 +619,21 @@ def _cascade_bounds(
     floor_bound = plan.bias + np.sqrt(floor_sq) * tail0
     if not floor_bound + slack <= threshold:
         return None, None, slack
-    norms = np.sqrt(sq_norms)
+    norms = np.sqrt(sq_norms, out=scratch(arena, "detect.norms",
+                                                 sq_norms.shape))
     b_row = _window_norm_bounds(norms, plan.blocks_y, stride, axis=0)
     b_col = _window_norm_bounds(norms, plan.blocks_x, stride, axis=1)
-    brc = np.minimum.outer(b_row, b_col)
-    bound0 = plan.bias + brc * tail0
+    # min(b_row[i], b_col[j]) over two broadcast copies: a ufunc over
+    # a broadcast operand would allocate iteration buffers.
+    shape = (len(b_row), len(b_col))
+    brc = scratch(arena, "detect.brc", shape)
+    np.copyto(brc, b_col)
+    rows_b = scratch(arena, "detect.brc_rows", shape)
+    np.copyto(rows_b, b_row[:, None])
+    np.minimum(rows_b, brc, out=brc)
+    # bias + brc * tail0, built in place (addition commutes exactly).
+    bound0 = np.multiply(brc, tail0, out=out)
+    bound0 += plan.bias
     return bound0, brc, slack
 
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.arena import scratch
 from repro.errors import ParameterError
 from repro.validation import check_out, ensure_grayscale, is_positive_zero
 
@@ -99,7 +100,7 @@ def gradient_xy(
     raise ParameterError(f"unsupported gradient filter: {method!r}")
 
 
-def _centered_rows(
+def centered_rows(
     gray: np.ndarray, r0: int, r1: int, fx: np.ndarray, fy: np.ndarray
 ) -> None:
     """CENTERED ``(fx, fy)`` of rows ``[r0, r1)`` of ``gray`` into strips.
@@ -152,6 +153,27 @@ def _polar_into(
     # The fold can land exactly on the right endpoint (angle == -pi
     # signed, or round-off near zero unsigned); pull it back to 0.
     orientation[orientation >= period] = 0.0
+
+
+def polar_rows(
+    fx: np.ndarray,
+    fy: np.ndarray,
+    magnitude: np.ndarray,
+    orientation: np.ndarray,
+    period: float,
+) -> bool:
+    """Equations (1)-(2) of a strip of derivatives, unless it is flat.
+
+    Returns False, and writes nothing, when ``fx`` and ``fy`` are all
+    +0.0: the strip's magnitude and orientation are then all +0.0
+    (module docstring), and the caller stands in for them.  The one
+    strip body of :func:`gradient_polar` and of the fused extractor
+    loop (:class:`repro.hog.histogram.CellStrips`).
+    """
+    if is_positive_zero(fx) and is_positive_zero(fy):
+        return False
+    _polar_into(fx, fy, magnitude, orientation, period)
+    return True
 
 
 def gradient_polar(
@@ -214,20 +236,14 @@ def gradient_polar(
 
     h, w = gray.shape
     strip = max(1, min(h, STRIP_PIXELS // w))
-    if arena is None:
-        fx_strip = np.empty((strip, w))
-        fy_strip = np.empty((strip, w))
-    else:
-        fx_strip = arena.get("imgproc.fx", (strip, w))
-        fy_strip = arena.get("imgproc.fy", (strip, w))
+    fx_strip = scratch(arena, "imgproc.fx", (strip, w))
+    fy_strip = scratch(arena, "imgproc.fy", (strip, w))
     for r0 in range(0, h, strip):
         r1 = min(r0 + strip, h)
         fx, fy = fx_strip[:r1 - r0], fy_strip[:r1 - r0]
-        _centered_rows(gray, r0, r1, fx, fy)
-        if is_positive_zero(fx) and is_positive_zero(fy):
+        centered_rows(gray, r0, r1, fx, fy)
+        if not polar_rows(fx, fy, out_magnitude[r0:r1],
+                          out_orientation[r0:r1], period):
             out_magnitude[r0:r1] = 0.0
             out_orientation[r0:r1] = 0.0
-        else:
-            _polar_into(fx, fy, out_magnitude[r0:r1],
-                        out_orientation[r0:r1], period)
     return out_magnitude, out_orientation

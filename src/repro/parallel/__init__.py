@@ -33,6 +33,10 @@ frame transport cheap.
     the ``repro-das serve`` process; a library caller that runs the
     thread backend in its own process can call
     ``limit_blas_threads(1)`` too.
+:func:`core_share`
+    Usable CPUs over pool workers, at least 1.  Each pool worker lets
+    its HOG extractor split a large frame into that many bands, one
+    thread each (the ``parallel.core_share`` gauge).
 
 Select the process executor with ``backend="process"`` on
 ``StreamPipeline``, ``DetectionService``, ``repro-das stream`` or
@@ -57,7 +61,7 @@ from repro.parallel.shm import (
 )
 from repro.parallel.pool import ProcessWorkerPool, default_start_method
 from repro.parallel.executor import ProcessExecutor, ThreadExecutor
-from repro.parallel.blas import limit_blas_threads
+from repro.parallel.blas import core_share, limit_blas_threads
 
 __all__ = [
     "DetectorSpec",
@@ -74,6 +78,7 @@ __all__ = [
     "ProcessWorkerPool",
     "ProcessExecutor",
     "ThreadExecutor",
+    "core_share",
     "default_start_method",
     "limit_blas_threads",
 ]

@@ -1,13 +1,14 @@
-"""Pin the OpenBLAS builds loaded in this process to a thread count.
+"""A detection process's threads: BLAS pinned to one, and its core share.
 
 The detector's one BLAS call — the scorer's partial-score GEMM —
 has an inner dimension of 36, so OpenBLAS can only split its output
 among threads, and a second thread costs more than it saves: its
 helper busy-waits after every call and takes a core that another
 process (a pool sibling, the HTTP server, its load) needs.  Detection
-processes therefore run BLAS on one thread and take their parallelism
-from the process pool, one worker per core, the way the paper gives
-each stage its own unit.
+processes therefore run BLAS on one thread.  Their parallelism comes
+from the process pool, and inside each worker from the HOG extractor's
+bands (:class:`repro.hog.HogExtractor`), one per core of the worker's
+:func:`core_share`, the way the paper gives each stage its own unit.
 
 ``OPENBLAS_NUM_THREADS`` cannot do this job: OpenBLAS reads it once,
 when NumPy is imported, so it is too late for a forked worker and it
@@ -18,7 +19,8 @@ instead calls the setter each loaded build exports.
 from __future__ import annotations
 
 import ctypes
-from collections.abc import Callable, Iterable
+import os
+from collections.abc import Callable, Collection, Iterable
 
 from repro.errors import ParameterError
 
@@ -103,3 +105,20 @@ def limit_blas_threads(
         set_threads(n)
         counts.append(int(get_threads()))
     return max(counts) if counts else None
+
+
+def core_share(workers: int, cpus: Collection[int] | None = None) -> int:
+    """Cores each of ``workers`` pool processes may use: at least one.
+
+    ``cpus`` is the set of usable CPUs, by default this process's
+    affinity mask (``os.sched_getaffinity``; ``os.cpu_count`` where
+    there is none); tests inject it.
+    """
+    if workers < 1:
+        raise ParameterError(f"worker count must be >= 1, got {workers}")
+    if cpus is None:
+        try:
+            cpus = os.sched_getaffinity(0)
+        except AttributeError:  # no affinity API (macOS, Windows)
+            cpus = range(os.cpu_count() or 1)
+    return max(1, len(cpus) // workers)

@@ -143,7 +143,7 @@ class ProcessWorkerPool:
             self._ctx.Process(
                 target=worker_main,
                 args=(wid, spec_bytes, self._task_q, self._result_q,
-                      self._free_q),
+                      self._free_q, self.workers),
                 name=f"repro-parallel-{wid}",
                 daemon=True,
             )

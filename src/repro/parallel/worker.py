@@ -13,9 +13,12 @@ ring's result lane (:mod:`repro.parallel.results`) with only a
 pickled whole.
 
 Each worker pins BLAS to one thread before it builds the detector
-(:func:`~repro.parallel.blas.limit_blas_threads`): the pool, one
-worker per core, is the unit of parallelism, and a second OpenBLAS
-thread would only spin on a core a sibling process needs.
+(:func:`~repro.parallel.blas.limit_blas_threads`): a second OpenBLAS
+thread would only spin on a core a sibling process needs.  It then
+lets the detector's HOG extractor split large frames into one band
+per core of its :func:`~repro.parallel.blas.core_share` (usable CPUs
+over pool workers); the band threads start in the worker, on its first
+large frame.
 
 Each task is a ``("batch", generation, entries)`` of one or more frames,
 answered by one ``("batch_result", ...)`` message.  Fault isolation
@@ -32,7 +35,7 @@ import pickle
 import time
 from typing import Any, TYPE_CHECKING
 
-from repro.parallel.blas import limit_blas_threads
+from repro.parallel.blas import core_share, limit_blas_threads
 from repro.parallel.results import encode_reply
 from repro.parallel.shm import attach_view, detach_all
 
@@ -58,13 +61,14 @@ def get_detector(spec: "DetectorSpec") -> Any:
     return detector
 
 
-def _snapshot_dict(detector: Any,
-                   blas_threads: int | None) -> dict[str, Any] | None:
+def _snapshot_dict(detector: Any, blas_threads: int | None,
+                   cores: int) -> dict[str, Any] | None:
     registry = getattr(detector, "telemetry", None)
     if registry is None or not getattr(registry, "enabled", False):
         return None
     if blas_threads is not None:
         registry.set_gauge("parallel.blas_threads", blas_threads)
+    registry.set_gauge("parallel.core_share", cores)
     return registry.snapshot().to_dict()
 
 
@@ -111,12 +115,17 @@ def _serve_frame(
 
 def worker_main(worker_id: int, spec_bytes: bytes,
                 task_queue: "Queue[Any]", result_queue: "Queue[Any]",
-                free_queue: "Queue[int]") -> None:
-    """Process target: rebuild the detector, then serve frame tasks."""
+                free_queue: "Queue[int]", workers: int = 1) -> None:
+    """Process target: rebuild the detector, then serve frame tasks.
+
+    ``workers`` is the pool's size, which sets the worker's core share.
+    """
     try:
         blas_threads = limit_blas_threads(1)
         spec = pickle.loads(spec_bytes)
         detector = get_detector(spec)
+        cores = core_share(workers)
+        detector.extractor.cores = cores
     except BaseException as exc:  # startup failure: report, then die
         result_queue.put(
             ("dead", worker_id, f"{type(exc).__name__}: {exc}")
@@ -128,7 +137,7 @@ def worker_main(worker_id: int, spec_bytes: bytes,
             if task[0] == "stop":
                 result_queue.put(
                     ("snapshot", worker_id,
-                     _snapshot_dict(detector, blas_threads))
+                     _snapshot_dict(detector, blas_threads, cores))
                 )
                 break
             # N frames, one task message, one combined reply: the

@@ -165,9 +165,14 @@ NAMES: tuple[TelemetryName, ...] = (
     # -- HOG extraction -----------------------------------------------------
     TelemetryName("hog.extract", "span", "whole HOG extraction pass"),
     TelemetryName("hog.gradient", "span",
-                  "gamma + gradient magnitude/orientation"),
-    TelemetryName("hog.histogram", "span", "cell histogram voting"),
-    TelemetryName("hog.normalize", "span", "block normalization"),
+                  "gamma + gradient magnitude/orientation, summed over "
+                  "the extractor's bands"),
+    TelemetryName("hog.histogram", "span",
+                  "cell histogram voting, summed over the extractor's "
+                  "bands, plus the seam fold"),
+    TelemetryName("hog.normalize", "span",
+                  "block normalization, summed over the extractor's "
+                  "bands"),
     TelemetryName("hog.extractions", "counter",
                   "full-grid extraction passes"),
     TelemetryName("hog.pixels", "counter",
@@ -320,6 +325,10 @@ NAMES: tuple[TelemetryName, ...] = (
     TelemetryName("parallel.blas_threads", "gauge",
                   "OpenBLAS thread count a worker process pinned itself "
                   "to (absent when no OpenBLAS is loaded)"),
+    TelemetryName("parallel.core_share", "gauge",
+                  "cores a worker process may use, usable CPUs over pool "
+                  "workers (at least 1): the most HOG extractor bands "
+                  "it splits a frame into"),
     TelemetryName("parallel.batches", "counter",
                   "multi-frame task messages sent to process workers "
                   "(each amortizes the per-message queue cost over its "

@@ -24,6 +24,7 @@ Design rules:
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Any
 
 from repro.errors import ParameterError
@@ -269,6 +270,25 @@ class MetricsRegistry:
     # Timer is the name the rest of the codebase uses when the measured
     # quantity is a duration; it is the same object as a Span.
     timer = span
+
+    def record_span(self, name: str, seconds: float) -> None:
+        """Record stage ``name`` as a span of ``seconds`` ending now.
+
+        For a duration measured elsewhere, e.g. summed over threads that
+        must not touch the registry.  It nests under the open spans, as
+        a ``with span(name)`` block here would.
+        """
+        if not self.enabled:
+            return
+        stack = self._span_stack
+        duration = int(seconds * 1e9)
+        self._record_span(SpanRecord(
+            name=name,
+            path=f"{stack[-1]}/{name}" if stack else name,
+            start_ns=time.perf_counter_ns() - duration,
+            duration_ns=duration,
+            depth=len(stack),
+        ))
 
     def _record_span(self, record: SpanRecord) -> None:
         if len(self._span_records) < self._max_spans:

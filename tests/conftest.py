@@ -7,6 +7,10 @@ needs realistic weights.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,3 +63,16 @@ def gradient_ramp():
 def checkerboard():
     base = np.indices((64, 64)).sum(axis=0) % 2
     return base.astype(np.float64)
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``, loaded from its file."""
+    name = "perfbench_workloads"
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, name, module)  # for its dataclass
+        spec.loader.exec_module(module)
+    return module

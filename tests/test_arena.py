@@ -285,3 +285,35 @@ class TestSteadyState:
                                       arena=False))
         assert arena_churn < 3 * frame_bytes
         assert arena_churn < plain_churn / 2
+
+    def test_unlit_cascade_call_allocates_no_grid(self):
+        # An unlit 1080x1920 frame at scale 1.0: a 134x239 all-zero
+        # block grid, every anchor rejected at stage 0.  Its bounds,
+        # norms and masks live in arena slabs and the score grid, so a
+        # warm call allocates none of them (the score grid alone is
+        # 0.21 MiB).
+        from repro.detect.scoring import plan_for, score_blocks_cascade
+        from repro.svm.model import LinearSvmModel
+
+        rng = np.random.default_rng(5)
+        model = LinearSvmModel(rng.standard_normal(105 * 36), -1.0)
+        plan = plan_for(model, 15, 7)
+        blocks = np.zeros((134, 239, 36))
+        arena = BufferArena()
+
+        def call():
+            return score_blocks_cascade(blocks, plan, 0.0, arena=arena)
+
+        call()  # warmup
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scores = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 64 * 1024
+        assert scores.shape == (120, 233) and (scores <= 0.0).all()
+        plain = score_blocks_cascade(blocks, plan, 0.0)
+        assert scores.tobytes() == plain.tobytes()

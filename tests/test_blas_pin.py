@@ -30,6 +30,7 @@ from repro.core import DetectorConfig, MultiScalePedestrianDetector
 from repro.errors import ParameterError
 from repro.parallel import DetectorSpec, ProcessWorkerPool, limit_blas_threads
 from repro.parallel.blas import (
+    core_share,
     loaded_openblas,
     openblas_controls,
     openblas_paths,
@@ -161,6 +162,36 @@ class TestWorkerPin:
             assert "parallel.blas_threads" not in gauges
             pytest.skip("no OpenBLAS build loaded")
         assert gauges["parallel.blas_threads"] == 1
+
+
+class TestCoreShare:
+    @pytest.mark.parametrize("cpus, workers, share",
+                             [(2, 1, 2), (2, 2, 1), (1, 4, 1), (8, 3, 2)])
+    def test_usable_cpus_over_workers(self, cpus, workers, share):
+        assert core_share(workers, cpus=set(range(cpus))) == share
+
+    def test_defaults_to_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity API")
+        usable = len(os.sched_getaffinity(0))
+        assert core_share(1) == usable
+        assert core_share(usable + 1) == 1
+
+    def test_rejects_non_positive_worker_counts(self):
+        with pytest.raises(ParameterError):
+            core_share(0, cpus={0, 1})
+
+    def test_workers_publish_their_share(self, trained_model):
+        det = MultiScalePedestrianDetector(
+            trained_model,
+            DetectorConfig(scales=(1.0,), threshold=0.5, stride=2,
+                           telemetry=True),
+        )
+        pool = ProcessWorkerPool(DetectorSpec.from_detector(det),
+                                 workers=2)
+        snapshots = pool.close()
+        assert [s.gauges["parallel.core_share"] for s in snapshots] \
+            == [core_share(2)] * 2
 
 
 class TestPinnedParity:

@@ -1,5 +1,8 @@
-"""Unit tests for repro.hog.histogram."""
+"""Unit tests for repro.hog.histogram and the banded extractor."""
 
+import importlib
+import multiprocessing
+import threading
 from unittest import mock
 
 import numpy as np
@@ -7,9 +10,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arena import BufferArena
+from repro.core import MultiScalePedestrianDetector
 from repro.errors import ParameterError, ShapeError
-from repro.hog import HogParameters, cell_histograms, histogram
-from repro.imgproc import gradient_polar
+from repro.hog import (
+    HogExtractor,
+    HogParameters,
+    cell_histograms,
+    histogram,
+    normalize_blocks,
+)
+from repro.imgproc import GradientFilter, gamma_correct, gradient_polar
+from repro.parallel import DetectorSpec, ProcessWorkerPool
+from repro.telemetry import MetricsRegistry
+
+extractor_module = importlib.import_module("repro.hog.extractor")
+worker_module = importlib.import_module("repro.parallel.worker")
 
 
 def hard_params(**kw):
@@ -315,3 +330,212 @@ class TestRowStrips:
         for name in arena.names:
             assert arena.capacity(name) <= strip_budget, name
         assert arena.slab_bytes < 4 * 2**20  # 179 MiB full-frame
+
+
+# -- Bands --------------------------------------------------------------------
+
+
+@st.composite
+def band_inputs(draw):
+    """A frame, its parameters, a band count and a strip budget.
+
+    Sizes are rarely whole cells.  Up to three constant bands (+0.0,
+    -0.0, a grey level, or a +-0.0 mix) sit at arbitrary rows, so
+    textureless strips straddle band seams.  The frame is C order, F
+    order or a strided slice of a larger array.
+    """
+    cs = draw(st.sampled_from([4, 8]))
+    params = HogParameters(
+        cell_size=cs, window_width=8 * cs, window_height=16 * cs,
+        signed_gradients=draw(st.booleans()),
+        spatial_interpolation=draw(st.booleans()),
+        gradient_filter=draw(st.sampled_from(list(GradientFilter))),
+        gamma=draw(st.sampled_from([None, None, 0.5])),
+    )
+    h = draw(st.integers(2 * cs, 12 * cs + cs - 1))
+    w = draw(st.integers(2 * cs, 6 * cs + cs - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = rng.random((h, w))
+    for _ in range(draw(st.integers(0, 3))):
+        r0 = draw(st.integers(0, h))
+        r1 = draw(st.integers(r0, h))
+        fill = draw(st.sampled_from(["+0", "-0", "grey", "signed-zeros"]))
+        frame[r0:r1] = {
+            "+0": 0.0, "-0": -0.0, "grey": 0.25,
+            "signed-zeros": np.where(rng.random((r1 - r0, w)) < 0.5,
+                                     0.0, -0.0),
+        }[fill]
+    layout = draw(st.sampled_from(["C", "F", "slice"]))
+    if layout == "F":
+        frame = np.asfortranarray(frame)
+    elif layout == "slice":
+        big = np.full((h + 2, 2 * w + 1), 0.5)
+        big[1:h + 1, 1::2] = frame
+        frame = big[1:h + 1, 1::2]
+    # "every": one band per cell row, a seam at every cell row.
+    bands = draw(st.sampled_from([1, 2, 3, 4, "every"]))
+    if bands == "every":
+        bands = h // cs
+    one_cell_row = draw(st.booleans())
+    return frame, params, bands, one_cell_row
+
+
+def _chain(frame, params):
+    """The unfused stages: gamma, gradient_polar, cell_histograms,
+    normalize_blocks."""
+    gray = frame
+    if params.gamma is not None:
+        gray = gamma_correct(np.maximum(gray, 0.0), params.gamma)
+    mag, ori = gradient_polar(gray, method=params.gradient_filter,
+                              signed=params.signed_gradients)
+    cells = cell_histograms(mag, ori, params)
+    return cells, normalize_blocks(cells, params)
+
+
+class TestBands:
+    """Bands, and fusing the gradient into the strips, change no bit."""
+
+    @given(inputs=band_inputs(), use_arena=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_banded_extract_equals_one_band(self, inputs, use_arena):
+        frame, params, bands, one_cell_row = inputs
+        extractor = HogExtractor(
+            params, arena=BufferArena() if use_arena else None)
+        budget = 1 if one_cell_row else histogram.STRIP_PIXELS
+        with mock.patch.object(histogram, "STRIP_PIXELS", budget):
+            # Copies: arena-backed grids are overwritten by the next
+            # extract.
+            one = extractor.extract(frame, _bands=1)
+            one = one.cells.tobytes(), one.blocks.tobytes()
+            banded = extractor.extract(frame, _bands=bands)
+            banded = banded.cells.tobytes(), banded.blocks.tobytes()
+        assert banded == one
+        cells, blocks = _chain(frame, params)
+        assert one == (cells.tobytes(), blocks.tobytes())
+
+    def test_hdtv_stream_detections_two_bands_equal_one(self, workloads,
+                                                        trained_model):
+        workload = workloads.WORKLOADS["hdtv-stream"]
+        frames = workloads.make_frames(workload, 1)
+        detector = MultiScalePedestrianDetector(
+            trained_model, workload.detector_config())
+
+        def boxes():
+            return [[(d.top, d.left, d.height, d.width, d.scale,
+                      float(d.score).hex())
+                     for d in detector.detect(frame).detections]
+                    for frame in frames]
+
+        one = boxes()
+        detector.extractor.cores = 2
+        assert detector.extractor._band_count(frames[0].shape) == 2
+        assert boxes() == one
+        assert any(one)
+
+
+class TestBandThreads:
+    FRAME = np.random.default_rng(9).random((96, 80))
+
+    def test_one_band_starts_no_thread(self, monkeypatch):
+        def no_threads(self, n):
+            raise AssertionError("band threads started")
+
+        monkeypatch.setattr(HogExtractor, "_band_threads", no_threads)
+        extractor = HogExtractor()
+        extractor.extract(self.FRAME)
+        extractor.extract(self.FRAME, _bands=1)
+        # Above one band's worth of cores, below the size floor.
+        extractor.cores = 4
+        below = 2 * extractor_module.BAND_MIN_PIXELS - 1
+        assert extractor._band_count((1, below)) == 1
+        extractor.extract(np.random.default_rng(1).random((480, 640)))
+
+    def test_band_threads_are_named(self, monkeypatch):
+        seen = []
+        run = histogram.CellStrips.run
+
+        def spy(self, band, *args, **kwargs):
+            seen.append((band, threading.current_thread().name))
+            return run(self, band, *args, **kwargs)
+
+        monkeypatch.setattr(histogram.CellStrips, "run", spy)
+        HogExtractor().extract(self.FRAME, _bands=3)
+        names = dict(seen)
+        assert sorted(names) == [0, 1, 2]
+        assert names[0] == threading.current_thread().name
+        assert all(names[b].startswith("hog-band") for b in (1, 2))
+
+    def test_no_band_thread_touches_the_arena(self):
+        owner = threading.current_thread()
+
+        class OwnedArena(BufferArena):
+            def get(self, *args, **kwargs):
+                assert threading.current_thread() is owner
+                return super().get(*args, **kwargs)
+
+        extractor = HogExtractor(arena=OwnedArena(),
+                                 telemetry=MetricsRegistry())
+        for _ in range(2):
+            extractor.extract(self.FRAME, _bands=4)
+
+    def test_stress_more_bands_than_cores(self):
+        # Bands write disjoint cell rows of one grid and share the
+        # read-only bases and fold weights; with 4 bands on any host
+        # and a switch interval of 1 us, every extract must still equal
+        # one band bit for bit.
+        import sys
+        import time
+
+        frame = np.random.default_rng(10).random((256, 200))
+        frame[64:130] = 0.3
+        extractor = HogExtractor(arena=BufferArena())
+        one = extractor.extract(frame, _bands=1)
+        one = one.cells.tobytes(), one.blocks.tobytes()
+        interval = sys.getswitchinterval()
+        deadline = time.monotonic() + 60.0
+        try:
+            sys.setswitchinterval(1e-6)
+            with mock.patch.object(histogram, "STRIP_PIXELS", 1):
+                for _ in range(40):
+                    grid = extractor.extract(frame, _bands=4)
+                    assert (grid.cells.tobytes(),
+                            grid.blocks.tobytes()) == one
+                    assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_stage_spans_sum_the_bands(self):
+        registry = MetricsRegistry()
+        HogExtractor(telemetry=registry).extract(self.FRAME, _bands=3)
+        spans = registry.snapshot().spans
+        for stage in ("hog.gradient", "hog.histogram", "hog.normalize"):
+            summary = spans[f"hog.extract/{stage}"]
+            assert summary.count == 1 and summary.total > 0
+
+    def test_fork_worker_after_banded_parent(self, trained_model,
+                                             monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork unavailable")
+        detector = MultiScalePedestrianDetector(trained_model)
+        spec = DetectorSpec.from_detector(detector)
+        # The forked worker finds this very detector in its cache, band
+        # pool and all, and runs two bands whatever the host's cores.
+        monkeypatch.setitem(worker_module._DETECTOR_CACHE,
+                            spec.cache_key(), detector)
+        monkeypatch.setattr(worker_module, "core_share", lambda n: 2)
+        detector.extractor.cores = 2
+        frame = np.random.default_rng(4).random((544, 1024))
+        assert detector.extractor._band_count(frame.shape) == 2
+        expected = detector.detect(frame).detections
+        assert any(t.name.startswith("hog-band")
+                   for t in threading.enumerate())
+        with ProcessWorkerPool(spec, workers=1,
+                               start_method="fork") as pool:
+            pool.submit_batch(0, [(0, frame, 0.0)])
+            msg = None
+            while msg is None or msg[0] != "result":
+                msg = pool.next_message(timeout=60.0)
+                assert msg is not None, "the forked worker hung"
+                assert msg[0] != "dead", msg
+        assert msg[3] == "ok", msg
+        assert msg[4].detections == expected

@@ -12,9 +12,7 @@ same input, compared as ``uint64`` bit patterns (signed zeros count).
 from __future__ import annotations
 
 import contextlib
-import importlib.util
-import sys
-from pathlib import Path
+import importlib
 
 import numpy as np
 import pytest
@@ -373,19 +371,6 @@ class TestFlatCellRowsCounter:
 
 
 # -- Detector level -----------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    """``perfbench/workloads.py``, loaded from its file."""
-    name = "perfbench_workloads"
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(sys.modules, name, module)  # for its dataclass
-        spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", ["hdtv-stream", "vga-http", "roi-burst"])
