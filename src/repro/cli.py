@@ -691,9 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="frames coalesced into one worker dispatch "
                        "(across sessions); 1 disables micro-batching")
     serve.add_argument("--batch-window-ms", type=float, default=0.0,
-                       help="how long the dispatcher lingers for a "
-                       "fuller batch before sending a partial one "
-                       "(only with --max-batch > 1)")
+                       help="longest the dispatcher lingers for a "
+                       "fuller batch before sending a partial one; it "
+                       "lingers only while every worker of the pool "
+                       "is busy, and a worker freeing up ends the "
+                       "linger (only with --max-batch > 1)")
     serve.add_argument("--keep-alive", action="store_true",
                        help="serve multiple HTTP requests per "
                        "connection (default: one request per "

@@ -141,7 +141,9 @@ class ProcessExecutor:
 
     ``start`` may be called again to begin a new run on the warm pool:
     it bumps the pool generation, so a frame submitted before — by a
-    run its consumer abandoned, say — never reaches the new callback.
+    run its consumer abandoned, say — never reaches the new callback,
+    and a worker skips the ``detect()`` of any such frame it has not
+    begun (``parallel.frames_stale``).
     """
 
     def __init__(self, spec: DetectorSpec, workers: int, *,
@@ -174,6 +176,7 @@ class ProcessExecutor:
         with self._lock:
             self._run = (self._run[0] + 1, deliver)
             self._inflight.clear()
+            self._pool.begin_run(self._run[0])
         if self._threads:
             return
         for target, role in ((self._dispatch, "dispatch"),
@@ -276,6 +279,7 @@ class ProcessExecutor:
             ("parallel.results_shm", counts["results_shm"]),
             ("parallel.results_pickled", counts["results_pickled"]),
             ("parallel.batches", counts["batches"]),
+            ("parallel.frames_stale", self._pool.frames_stale),
         ):
             if count:
                 telemetry.inc(name, count)

@@ -64,7 +64,15 @@ def default_start_method() -> str:
 
 
 def _emergency_cleanup(state: dict[str, Any]) -> None:
-    """GC/interpreter-exit safety net: never leak processes or segments."""
+    """GC/interpreter-exit safety net: never leak processes or segments.
+
+    Only the process that built the pool may act.  A forked child
+    inherits the pool object, and with it this finalizer: there the
+    workers are not its children and the ring is its parent's, so
+    closing it would unlink a segment still in use.
+    """
+    if state["pid"] != os.getpid():
+        return
     for proc in state.get("procs", ()):
         if proc.is_alive():
             proc.terminate()
@@ -138,18 +146,24 @@ class ProcessWorkerPool:
         self._ring: SharedFrameRing | None = None
         self._closed = False
         self._broken = False
+        self._stale = 0
+        # The current run's generation, read by every worker before it
+        # detects a frame; see begin_run.
+        self._generation = self._ctx.RawValue("q", 0)
         self._final_snapshots: list[TelemetrySnapshot] = []
         self._procs = [
             self._ctx.Process(
                 target=worker_main,
                 args=(wid, spec_bytes, self._task_q, self._result_q,
-                      self._free_q, self.workers),
+                      self._free_q, self._generation, self.workers),
                 name=f"repro-parallel-{wid}",
                 daemon=True,
             )
             for wid in range(self.workers)
         ]
-        self._state: dict[str, Any] = {"procs": self._procs, "ring": None}
+        self._state: dict[str, Any] = {
+            "procs": self._procs, "ring": None, "pid": os.getpid(),
+        }
         self._finalizer = weakref.finalize(
             self, _emergency_cleanup, self._state
         )
@@ -166,6 +180,17 @@ class ProcessWorkerPool:
                 and all(p.is_alive() for p in self._procs))
 
     # -- Submission ---------------------------------------------------------
+
+    def begin_run(self, generation: int) -> None:
+        """Publish ``generation`` as the current run to the workers.
+
+        A worker answers a frame of any other generation — one an
+        abandoned run had already staged — without detecting it: it
+        frees the frame's ring slot and replies ``"stale"``, which
+        :meth:`next_message` swallows after reclaiming the frame's
+        result-lane slot (counted in :attr:`frames_stale`).
+        """
+        self._generation.value = generation
 
     def _ensure_ring(self, frame: np.ndarray) -> SharedFrameRing:
         if self._ring is None:
@@ -315,7 +340,9 @@ class ProcessWorkerPool:
         of transport.  A worker's combined ``("batch_result", ...)``
         reply is expanded here into per-frame ``("result", ...)``
         tuples, returned one per call in batch order — consumers never
-        see batching on the result side.
+        see batching on the result side.  Frames answered ``"stale"``
+        (see :meth:`begin_run`) are not returned at all; a reply made
+        only of them reads as a timeout.
         """
         if self._expanded:
             return self._expanded.popleft()
@@ -328,11 +355,16 @@ class ProcessWorkerPool:
         elif message[0] == "batch_result":
             _, generation, worker_id, outcomes = message
             for index, status, reply, error, busy_s, cpu_s, t0 in outcomes:
+                reply = self._decode(generation, index, status, reply)
+                if status == "stale":
+                    self._stale += 1
+                    continue
                 self._expanded.append(
-                    ("result", generation, index, status,
-                     self._decode(generation, index, status, reply),
+                    ("result", generation, index, status, reply,
                      error, worker_id, busy_s, cpu_s, t0)
                 )
+            if not self._expanded:
+                return None  # every frame of an abandoned run
             message = self._expanded.popleft()
         return message
 
@@ -370,6 +402,12 @@ class ProcessWorkerPool:
             "results_pickled": self._results_pickled,
             "batches": self._batches,
         }
+
+    @property
+    def frames_stale(self) -> int:
+        """Frames of abandoned runs the workers answered undetected
+        (the ``parallel.frames_stale`` counter); see :meth:`begin_run`."""
+        return self._stale
 
     # -- Shutdown -----------------------------------------------------------
 

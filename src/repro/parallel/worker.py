@@ -21,12 +21,14 @@ over pool workers); the band threads start in the worker, on its first
 large frame.
 
 Each task is a ``("batch", generation, entries)`` of one or more frames,
-answered by one ``("batch_result", ...)`` message.  Fault isolation
-mirrors the thread executor exactly: a frame that makes ``detect()``
-raise comes back ``"failed"`` — never a dead worker.  On the terminal
-``("stop",)`` task the worker replies with its telemetry snapshot (the
-parent merges it; see ``MetricsRegistry.absorb_snapshot``) and exits
-cleanly.
+answered by one ``("batch_result", ...)`` message.  A frame whose
+generation is no longer the pool's current one (its run was abandoned)
+is answered ``"stale"`` without a ``detect()``; its slots are freed all
+the same.  Fault isolation mirrors the thread executor exactly: a
+frame that makes ``detect()`` raise comes back ``"failed"`` — never a
+dead worker.  On the terminal ``("stop",)`` task the worker replies
+with its telemetry snapshot (the parent merges it; see
+``MetricsRegistry.absorb_snapshot``) and exits cleanly.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.parallel.results import encode_reply
 from repro.parallel.shm import attach_view, detach_all
 
 if TYPE_CHECKING:
+    from ctypes import c_longlong
     from multiprocessing.queues import Queue
 
     from repro.parallel.shm import FrameHandle, ResultSlot
@@ -113,11 +116,29 @@ def _serve_frame(
                 time.process_time() - cpu_start, t0)
 
 
+def _skip_frame(
+    entry: "tuple[int, float, FrameHandle | None, bytes | None, ResultSlot | None]",  # noqa: E501
+    free_queue: "Queue[int]",
+) -> tuple[int, str, Any, "str | None", float, float, float]:
+    """Answer a frame of an abandoned run ``"stale"``, undetected.
+
+    Its ring slot is freed here; the parent reclaims its result-lane
+    slot when it reads the reply.
+    """
+    index, t0, handle, _, _ = entry
+    if handle is not None:
+        free_queue.put(handle.slot)
+    return (index, "stale", None, None, 0.0, 0.0, t0)
+
+
 def worker_main(worker_id: int, spec_bytes: bytes,
                 task_queue: "Queue[Any]", result_queue: "Queue[Any]",
-                free_queue: "Queue[int]", workers: int = 1) -> None:
+                free_queue: "Queue[int]", current: "c_longlong",
+                workers: int = 1) -> None:
     """Process target: rebuild the detector, then serve frame tasks.
 
+    ``current`` is the pool's shared run generation: a frame staged by
+    any other run is answered ``"stale"`` without a ``detect()``.
     ``workers`` is the pool's size, which sets the worker's core share.
     """
     try:
@@ -148,6 +169,8 @@ def worker_main(worker_id: int, spec_bytes: bytes,
             _, generation, entries = task
             outcomes = [
                 _serve_frame(detector, entry, free_queue)
+                if generation == current.value
+                else _skip_frame(entry, free_queue)
                 for entry in entries
             ]
             result_queue.put(

@@ -75,6 +75,28 @@ from repro.telemetry import NULL_TELEMETRY, MetricsRegistry
 _DONE = object()
 
 
+class _Load:
+    """What one pool holds: batches and frames handed to it whose
+    results have not come back.  A batch occupies one worker until its
+    last frame is delivered."""
+
+    __slots__ = ("batches", "frames")
+
+    def __init__(self) -> None:
+        self.batches = 0
+        self.frames = 0
+
+
+class _Flight:
+    """One dispatched batch: its pool's load and its frames still out."""
+
+    __slots__ = ("load", "left")
+
+    def __init__(self, load: _Load, left: int) -> None:
+        self.load = load
+        self.left = left
+
+
 class ServeSession:
     """One client's ordered view of the shared service.
 
@@ -334,12 +356,15 @@ class DetectionService:
     max_batch, batch_window_ms:
         Micro-batched dispatch policy.  The pump coalesces up to
         ``max_batch`` pending frames *across sessions* into one worker
-        task (amortizing the per-message IPC cost); with
-        ``batch_window_ms > 0`` it lingers that long for more arrivals
-        before dispatching a partial batch.  ``max_batch=1`` (the
-        default) is the unbatched behaviour: one frame per task, no
-        added latency.  Per-session ordering and per-frame fault
-        isolation are preserved either way.
+        task (amortizing the per-message IPC cost).  Dispatch is
+        work-conserving: a frame goes out at once while a worker of its
+        pool is idle.  With ``batch_window_ms > 0`` a partial batch
+        lingers for more arrivals only while every worker of its pool
+        already holds a batch, and at most that long; a worker freeing
+        up or ``max_batch`` frames waiting ends the linger early.
+        ``max_batch=1`` (the default) is the unbatched behaviour: one
+        frame per task, no linger.  Per-session ordering and per-frame
+        fault isolation are preserved either way.
     telemetry:
         A :class:`~repro.telemetry.MetricsRegistry` for ``serve.*``
         metrics (only ever touched from the event-loop thread).
@@ -394,9 +419,11 @@ class DetectionService:
         )
         self.mp_start_method = mp_start_method
         self._pools: dict[str, Any] = {}
-        self._tags: dict[int, tuple[ServeSession, int, str]] = {}
+        self._load: dict[str, _Load] = {}
+        self._tags: dict[int, tuple[ServeSession, int, _Flight]] = {}
         self._sessions: dict[str, ServeSession] = {}
         self._next_tag = 0
+        self._rotate = 0
         self._next_session = 0
         self._pools_built = 0
         self._sessions_opened = 0
@@ -475,6 +502,7 @@ class DetectionService:
                 await asyncio.to_thread(pool.close, merged)
                 telemetry.absorb_snapshot(merged.snapshot())
             self._pools.clear()
+            self._load.clear()
             if telemetry.enabled:
                 telemetry.set_gauge("serve.pools_active", 0.0)
                 telemetry.set_gauge("serve.workers", 0.0)
@@ -622,6 +650,7 @@ class DetectionService:
                                   name="serve-worker")
         pool.start(self._deliver)
         self._pools[key] = pool
+        self._load[key] = _Load()
         self._pools_built += 1
         if telemetry.enabled:
             telemetry.set_gauge(
@@ -651,7 +680,11 @@ class DetectionService:
         entry = self._tags.pop(tag, None)
         if entry is None:
             return
-        session, seq, _ = entry
+        session, seq, flight = entry
+        flight.load.frames -= 1
+        flight.left -= 1
+        if not flight.left:
+            flight.load.batches -= 1
         if self.telemetry.enabled:
             self.telemetry.set_gauge("serve.inflight", float(len(self._tags)))
             self.telemetry.observe("serve.worker_busy_ms", busy_s * 1e3)
@@ -660,78 +693,129 @@ class DetectionService:
         session._finish(seq, status, result=result, error=error,
                         worker=worker)
 
-    def _waiting_total(self) -> int:
-        return sum(s._core.queued for s in self._sessions.values())
+    def _held_pools(self) -> set[str]:
+        """Pools whose partial batch may linger for more frames.
+
+        A pool is held while fewer than ``max_batch`` frames wait for it
+        and every one of its workers already holds a batch: a frame
+        never waits out the window while a worker that could take it
+        is idle.
+        """
+        if self.max_batch == 1 or not self._batch_window_s:
+            return set()
+        waiting: collections.Counter = collections.Counter()
+        for session in self._sessions.values():
+            waiting[session._pool_key] += session._core.queued
+        return {
+            key for key, n in waiting.items()
+            if 0 < n < self.max_batch and key in self._pools
+            and self._load[key].batches >= self._pools[key].workers
+        }
 
     async def _pump(self) -> None:
-        """Round-robin session backlogs into the pools, forever.
+        """Dispatch on every wake; linger while a held pool fills.
+
+        A wake is a submit or a delivered result.  Each wake dispatches
+        every pool that is not held (see :meth:`_held_pools`).  While a
+        pool is held the pump lingers, and the linger ends at
+        ``batch_window_ms``, once ``max_batch`` frames wait, or as soon
+        as a worker of that pool frees up, whichever comes first.
+        """
+        loop = asyncio.get_running_loop()
+        telemetry = self.telemetry
+        while True:
+            await self._wake.wait()
+            self._wake.clear()
+            held = self._dispatch(linger=True)
+            if not held:
+                continue
+            started = loop.time()
+            deadline = started + self._batch_window_s
+            while held:
+                try:
+                    await asyncio.wait_for(self._wake.wait(),
+                                           deadline - loop.time())
+                except asyncio.TimeoutError:
+                    self._dispatch(linger=False)
+                    break
+                self._wake.clear()
+                held = self._dispatch(linger=True)
+            if telemetry.enabled:
+                telemetry.inc("serve.batch.lingered")
+                telemetry.observe("serve.batch.linger_ms",
+                                  (loop.time() - started) * 1e3)
+
+    def _dispatch(self, linger: bool) -> set[str]:
+        """Round-robin session backlogs into the pools.
 
         Frames are taken one per session per sweep — that fairness is
         what keeps a chatty client from starving a quiet one — and
         coalesced into per-pool batches of up to ``max_batch`` frames,
         so concurrent sessions share one task message (and, on the
         process backend, one queue hop each way) instead of paying the
-        fixed dispatch cost per frame.  With ``batch_window_ms > 0``
-        the pump lingers once per wake to let slower submitters join a
-        partial batch.  A pool stops admitting once its in-flight count
-        reaches capacity, which is what makes per-session quotas back
-        up and the backpressure policies bite.
+        fixed dispatch cost per frame.  A pool stops admitting once its
+        in-flight count reaches capacity, which is what makes
+        per-session quotas back up and the backpressure policies bite.
+
+        With ``linger``, a held pool (see :meth:`_held_pools`) gets
+        nothing; returns the pools held when the sweeps stopped.
         """
-        rotate = 0
         telemetry = self.telemetry
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            if (self.max_batch > 1 and self._batch_window_s > 0
-                    and 0 < self._waiting_total() < self.max_batch):
-                # Linger for the batch window, then dispatch whatever
-                # arrived — bounded extra latency traded for fuller
-                # batches under trickling load.
-                await asyncio.sleep(self._batch_window_s)
-                self._wake.clear()
-            progressed = True
-            while progressed:
-                progressed = False
-                sessions = list(self._sessions.values())
-                if not sessions:
-                    break
-                rotate = (rotate + 1) % len(sessions)
-                ordered = sessions[rotate:] + sessions[:rotate]
-                inflight = collections.Counter(
-                    key for _, _, key in self._tags.values()
-                )
-                batches: dict[str, list[tuple[int, np.ndarray]]] = {}
-                sweeping = True
-                while sweeping:
-                    sweeping = False
-                    for session in ordered:
-                        key = session._pool_key
-                        pool = self._pools.get(key)
-                        if pool is None or not session._core.queued:
-                            continue
-                        batch = batches.setdefault(key, [])
-                        if len(batch) >= self.max_batch:
-                            continue
-                        if inflight[key] + len(batch) >= pool.capacity:
-                            continue
-                        [(seq, frame)] = session._core.take(1)
-                        tag = self._next_tag
-                        self._next_tag += 1
-                        self._tags[tag] = (session, seq, key)
-                        batch.append((tag, frame))
-                        sweeping = True
-                for key, batch in batches.items():
-                    if not batch:
+        held: set[str] = set()
+        progressed = True
+        while progressed:
+            progressed = False
+            sessions = list(self._sessions.values())
+            if not sessions:
+                break
+            held = self._held_pools() if linger else set()
+            self._rotate = (self._rotate + 1) % len(sessions)
+            ordered = sessions[self._rotate:] + sessions[:self._rotate]
+            batches: dict[str, list[tuple[ServeSession, int,
+                                          np.ndarray]]] = {}
+            sweeping = True
+            while sweeping:
+                sweeping = False
+                for session in ordered:
+                    key = session._pool_key
+                    pool = self._pools.get(key)
+                    if (pool is None or key in held
+                            or not session._core.queued):
                         continue
-                    self._pools[key].submit_batch(batch)
+                    batch = batches.setdefault(key, [])
+                    if len(batch) >= self.max_batch:
+                        continue
+                    if self._load[key].frames + len(batch) >= pool.capacity:
+                        continue
+                    [(seq, frame)] = session._core.take(1)
+                    batch.append((session, seq, frame))
+                    sweeping = True
+            for key, batch in batches.items():
+                if batch:
+                    self._submit(key, batch)
                     progressed = True
-                    if telemetry.enabled:
-                        telemetry.inc("serve.batch.formed")
-                        telemetry.observe(
-                            "serve.batch.size", float(len(batch))
-                        )
-                        if len(batch) > 1:
-                            telemetry.inc("serve.batch.multi_frame")
-                if progressed and telemetry.enabled:
-                    telemetry.set_gauge("serve.inflight",
-                                        float(len(self._tags)))
+            if progressed and telemetry.enabled:
+                telemetry.set_gauge("serve.inflight",
+                                    float(len(self._tags)))
+        return held
+
+    def _submit(self, key: str,
+                batch: list[tuple[ServeSession, int, np.ndarray]]) -> None:
+        """Hand one batch to pool ``key`` and count it in its load."""
+        load = self._load[key]
+        flight = _Flight(load, len(batch))
+        items = []
+        for session, seq, frame in batch:
+            tag = self._next_tag
+            self._next_tag += 1
+            self._tags[tag] = (session, seq, flight)
+            items.append((tag, frame))
+        load.batches += 1
+        load.frames += len(items)
+        self._pools[key].submit_batch(items)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.inc("serve.batch.formed")
+            telemetry.observe("serve.batch.size", float(len(items)))
+            if len(items) > 1:
+                telemetry.inc("serve.batch.multi_frame")

@@ -270,6 +270,13 @@ NAMES: tuple[TelemetryName, ...] = (
                   "frames per dispatch batch"),
     TelemetryName("serve.batch.multi_frame", "counter",
                   "dispatch batches that coalesced more than one frame"),
+    TelemetryName("serve.batch.lingered", "counter",
+                  "times the pump held partial batches back for more "
+                  "frames because every worker of their pool held a "
+                  "batch"),
+    TelemetryName("serve.batch.linger_ms", "histogram",
+                  "length of each linger: until batch_window_ms, "
+                  "max_batch frames waiting, or a worker freeing up"),
     TelemetryName("serve.queue_depth", "histogram",
                   "frames a session admitted but has not yet emitted, "
                   "sampled at each admission; max_pending is its "
@@ -329,6 +336,10 @@ NAMES: tuple[TelemetryName, ...] = (
                   "cores a worker process may use, usable CPUs over pool "
                   "workers (at least 1): the most HOG extractor bands "
                   "it splits a frame into"),
+    TelemetryName("parallel.frames_stale", "counter",
+                  "frames of an abandoned run that a process worker "
+                  "answered without detecting them (their ring and "
+                  "result-lane slots are still freed)"),
     TelemetryName("parallel.batches", "counter",
                   "multi-frame task messages sent to process workers "
                   "(each amortizes the per-message queue cost over its "

@@ -18,8 +18,11 @@ from __future__ import annotations
 import asyncio
 import glob
 import multiprocessing
+import os
 import queue
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -162,24 +165,58 @@ class TestExecutorContract:
         assert lingering == []
 
 
+def _wait_until(predicate) -> None:
+    deadline = time.monotonic() + TIMEOUT_S
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 class TestProcessExecutorRuns:
     def test_restart_never_delivers_an_earlier_runs_frames(self, detector,
                                                            frames):
+        # Each cycle stages two frames for a run, abandons the run, and
+        # starts the next.  The worker is stopped meanwhile, so it
+        # cannot begin either frame before the restart: it must answer
+        # both stale, undetected, and free their slots.  The ring has
+        # three frame slots (the capacity) and four result-lane slots,
+        # so a leak would wedge staging or send results down the pickle
+        # channel within two cycles.
         executor = _executor("process", detector)
-        first, second = _Collector(), _Collector()
+        [worker] = executor._pool._procs
+        cycles = 4
+        runs = [_Collector() for _ in range(cycles + 1)]
+        expected = detector.detect(frames[2]).detections
+        registry = MetricsRegistry()
         try:
-            executor.start(first)
-            executor.submit_batch([(0, frames[0]), (1, frames[1])])
-            executor.start(second)  # the first run is abandoned
-            executor.submit_batch([(0, frames[2])])
-            got = second.take(1)
+            executor.start(runs[0])
+            for k in range(cycles):
+                # Frames the dispatch thread has staged into the ring.
+                staged = sum(executor._frames.values())
+                os.kill(worker.pid, signal.SIGSTOP)
+                try:
+                    executor.submit_batch([(0, frames[0]), (1, frames[1])])
+                    _wait_until(
+                        lambda: sum(executor._frames.values()) == staged + 2
+                    )
+                    executor.start(runs[k + 1])  # run k is abandoned
+                finally:
+                    os.kill(worker.pid, signal.SIGCONT)
+                executor.submit_batch([(0, frames[2])])
+                status, result, _ = runs[k + 1].take(1)[0]
+                assert status == "ok"
+                assert result.detections == expected
             with pytest.raises(queue.Empty):
-                second.outcomes.get(timeout=1.0)
+                runs[-1].outcomes.get(timeout=1.0)
+            assert all(run.outcomes.empty() for run in runs)
+            assert executor.healthy
         finally:
-            executor.close()
-        status, result, _ = got[0]
-        assert status == "ok"
-        assert result.detections == detector.detect(frames[2]).detections
+            executor.close(registry)
+        counters = registry.snapshot().counters
+        assert counters["parallel.frames_stale"] == 2 * cycles
+        assert counters["parallel.results_shm"] == cycles
+        assert counters.get("parallel.results_pickled", 0) == 0
+        assert _segments() == []
 
 
 class TestInFlightBound:

@@ -9,8 +9,13 @@ count-weighted snapshot absorption.
 
 from __future__ import annotations
 
+import gc
+import glob
+import multiprocessing
+import os
 import pickle
 import queue
+import sys
 
 import numpy as np
 import pytest
@@ -311,9 +316,53 @@ class TestProcessWorkerPool:
                    for s in snapshots) == 3
         assert pool.close() is snapshots  # idempotent
 
-    def test_default_start_method_is_valid(self):
-        import multiprocessing
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_child_leaves_the_pool_alone(self, detector):
+        # A child forked after the pool was built inherits the pool
+        # object and its finalizer.  Dropping the pool there must not
+        # run the cleanup: the workers are not the child's, and the
+        # ring segment is the parent's.
+        holder = [ProcessWorkerPool(DetectorSpec.from_detector(detector),
+                                    workers=1)]
+        frame = np.random.default_rng(0).random((160, 160))
+        try:
+            assert holder[0].submit_batch(0, [(0, frame, 0.0)]) == ["shm"]
+            assert holder[0].next_message(timeout=60.0)[0] == "result"
+            segments = glob.glob(f"/dev/shm/repro-shm-{os.getpid()}-*")
+            assert segments
 
+            def child(holder, fd):
+                # Report as a bare interpreter would: to stderr, which
+                # here is the pipe (pytest replaces both in the test).
+                os.dup2(fd, 2)
+                sys.stderr = open(2, "w", closefd=False)
+                sys.unraisablehook = sys.__unraisablehook__
+                holder.clear()
+                gc.collect()
+                sys.stderr.flush()
+
+            read, write = os.pipe()
+            proc = multiprocessing.get_context("fork").Process(
+                target=child, args=(holder, write)
+            )
+            proc.start()
+            os.close(write)
+            with os.fdopen(read) as pipe:
+                err = pipe.read()
+            proc.join(timeout=60.0)
+            assert proc.exitcode == 0
+            assert "Traceback" not in err, err
+            assert "Exception ignored" not in err, err
+            assert all(os.path.exists(path) for path in segments)
+            assert holder[0].healthy
+        finally:
+            holder[0].close()
+        assert not any(os.path.exists(path) for path in segments)
+
+    def test_default_start_method_is_valid(self):
         assert default_start_method() in multiprocessing.get_all_start_methods()
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import queue
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DetectorConfig, MultiScalePedestrianDetector
 from repro.errors import ParameterError, ServeError
+from repro.parallel import DetectorSpec
 from repro.serve import (
     DetectionService,
     ServeClient,
@@ -209,6 +211,196 @@ class TestBatchedParity:
             DetectionService(detector, batch_window_ms=-1.0)
         with pytest.raises(ParameterError, match="max_fps"):
             DetectionService(detector, max_fps=0.0)
+
+
+#: Batch window of the work-conserving pump tests: long enough that
+#: a frame which waited it out cannot pass for one dispatched at once.
+WINDOW_MS = 1000.0
+WINDOW_S = WINDOW_MS / 1e3
+
+#: Seconds a gated scenario may wait on a worker before it counts as a
+#: stall.
+STALL_S = 60.0
+
+
+class _Gate:
+    """Thread-backend detectors whose ``detect`` blocks on chosen frames.
+
+    Installed over :meth:`DetectorSpec.build`, so the service's thread
+    workers each get a real detector wrapped here.  A worker that picks
+    up a frame passed to :meth:`hold` puts it on ``entered`` and waits
+    for :meth:`release`; every ``detect`` records when it began in
+    ``started`` (keyed by frame identity).
+    """
+
+    def __init__(self, monkeypatch):
+        self.entered: queue.Queue = queue.Queue()
+        self.started: dict[int, float] = {}
+        self._held: set[int] = set()
+        self._open = threading.Event()
+        build = DetectorSpec.build
+        gate = self
+
+        class Gated:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def detect(self, frame):
+                gate.started[id(frame)] = time.perf_counter()
+                if id(frame) in gate._held:
+                    gate.entered.put(id(frame))
+                    assert gate._open.wait(STALL_S), "gate never opened"
+                return self._inner.detect(frame)
+
+        monkeypatch.setattr(DetectorSpec, "build",
+                            lambda spec: Gated(build(spec)))
+
+    def hold(self, frame):
+        """A copy of ``frame`` that blocks its worker until release."""
+        held = frame.copy()
+        self._held.add(id(held))
+        return held
+
+    async def wait_entered(self):
+        return await asyncio.to_thread(self.entered.get, True, STALL_S)
+
+    def release(self):
+        self._open.set()
+
+
+async def _batches_formed(telemetry, n):
+    """Wait until the pump has formed ``n`` batches."""
+    deadline = time.perf_counter() + STALL_S
+    while telemetry.snapshot().counters.get("serve.batch.formed", 0) < n:
+        assert time.perf_counter() < deadline, "batches never formed"
+        await asyncio.sleep(0.005)
+
+
+def _pump_scenario(detector, body, workers):
+    """Run ``body(service, telemetry)`` against a batching service whose
+    window is ``WINDOW_MS``; returns its value and the final snapshot."""
+    async def scenario():
+        telemetry = MetricsRegistry()
+        service = DetectionService(
+            detector, workers=workers, max_batch=4,
+            batch_window_ms=WINDOW_MS, max_pending=16,
+            telemetry=telemetry,
+        )
+        await service.start()
+        try:
+            value = await body(service, telemetry)
+        finally:
+            await service.shutdown()
+        return value, telemetry.snapshot()
+    return run(scenario())
+
+
+class TestWorkConservingPump:
+    """A frame waits out the batch window only while every worker of
+    its pool already holds a batch."""
+
+    def test_idle_pool_dispatches_a_lone_frame_at_once(self, detector,
+                                                       frames):
+        async def body(service, telemetry):
+            session = service.open_session()
+            start = time.perf_counter()
+            await session.submit(frames[0])
+            [result] = await _drain(session, 1)
+            return result, time.perf_counter() - start
+        (result, elapsed), snap = _pump_scenario(detector, body, workers=1)
+        assert result.status is FrameStatus.OK
+        assert elapsed < WINDOW_S / 2
+        assert snap.counters.get("serve.batch.lingered", 0) == 0
+
+    def test_busy_worker_coalesces_frames_into_one_batch(
+            self, monkeypatch, detector, frames):
+        gate = _Gate(monkeypatch)
+        blocker = gate.hold(frames[0])
+
+        async def body(service, telemetry):
+            session = service.open_session()
+            start = time.perf_counter()
+            await session.submit(blocker)
+            await gate.wait_entered()
+            entered_s = time.perf_counter() - start
+            try:
+                # The only worker holds a batch: these three linger
+                # together for the window, then leave as one batch.
+                for frame in frames[1:4]:
+                    await session.submit(frame)
+                    await asyncio.sleep(0.02)
+                await _batches_formed(telemetry, 2)
+                sizes = telemetry.snapshot().histograms["serve.batch.size"]
+            finally:
+                gate.release()
+            results = await _drain(session, 4)
+            return entered_s, sizes, results
+        (entered_s, sizes, results), snap = _pump_scenario(
+            detector, body, workers=1)
+        assert entered_s < WINDOW_S / 2  # the idle worker took it at once
+        assert sizes.count == 2 and sizes.maximum == 3
+        assert snap.counters["serve.batch.multi_frame"] == 1
+        assert snap.counters["serve.batch.lingered"] == 1
+        linger = snap.histograms["serve.batch.linger_ms"]
+        assert linger.count == 1
+        assert WINDOW_MS * 0.9 <= linger.maximum < WINDOW_MS * 2
+        assert [r.index for r in results] == [0, 1, 2, 3]
+        assert {r.status for r in results} == {FrameStatus.OK}
+
+    def test_released_worker_ends_the_linger(self, monkeypatch, detector,
+                                             frames):
+        gate = _Gate(monkeypatch)
+        blocker = gate.hold(frames[0])
+        waiting = frames[1].copy()
+
+        async def body(service, telemetry):
+            session = service.open_session()
+            await session.submit(blocker)
+            await gate.wait_entered()
+            try:
+                await session.submit(waiting)
+                await asyncio.sleep(0.05)  # lingering on the busy worker
+            finally:
+                released = time.perf_counter()
+                gate.release()
+            results = await _drain(session, 2)
+            return released, results
+        (released, results), snap = _pump_scenario(
+            detector, body, workers=1)
+        assert {r.status for r in results} == {FrameStatus.OK}
+        assert gate.started[id(waiting)] - released < WINDOW_S / 2
+        assert snap.counters["serve.batch.lingered"] == 1
+        assert snap.histograms["serve.batch.linger_ms"].maximum \
+            < WINDOW_MS / 2
+
+    def test_busy_counts_batches_not_frames(self, monkeypatch, detector,
+                                            frames):
+        gate = _Gate(monkeypatch)
+        pair = [gate.hold(frames[0]), gate.hold(frames[1])]
+
+        async def body(service, telemetry):
+            busy = service.open_session()
+            for frame in pair:  # no await point between: one batch
+                await busy.submit(frame)
+            await gate.wait_entered()
+            try:
+                # One worker holds a 2-frame batch, the other is idle:
+                # two frames in flight on two workers, yet no linger.
+                lone = service.open_session()
+                start = time.perf_counter()
+                await lone.submit(frames[2])
+                [result] = await _drain(lone, 1)
+                elapsed = time.perf_counter() - start
+            finally:
+                gate.release()
+            await _drain(busy, 2)
+            return result, elapsed
+        (result, elapsed), snap = _pump_scenario(detector, body, workers=2)
+        assert result.status is FrameStatus.OK
+        assert elapsed < WINDOW_S / 2
+        sizes = snap.histograms["serve.batch.size"]
+        assert sizes.count == 2 and sizes.maximum == 2
+        assert snap.counters.get("serve.batch.lingered", 0) == 0
 
 
 class TestThrottle:
